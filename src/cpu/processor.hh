@@ -28,6 +28,7 @@
 
 #include "base/arena.hh"
 #include "base/byte_index.hh"
+#include "base/circular_queue.hh"
 #include "base/sim_error.hh"
 #include "base/slot_bitmap.hh"
 #include "base/types.hh"
@@ -37,7 +38,6 @@
 #include "check/watchdog.hh"
 #include "cpu/dyn_inst.hh"
 #include "cpu/store_buffer.hh"
-#include "cpu/window.hh"
 #include "isa/executor.hh"
 #include "isa/program.hh"
 #include "mdp/mdp_table.hh"
@@ -275,6 +275,12 @@ class Processor
 
     // ---- shared helpers ----------------------------------------------
     DynInst *findInst(InstSeqNum seq);
+    /** Is ROB slot @p slot still occupied by instruction @p seq? */
+    bool
+    slotHolds(size_t slot, InstSeqNum seq) const
+    {
+        return rob.slotLive(slot) && rob.slot(slot).seq == seq;
+    }
     SbEntry *findSbEntry(InstSeqNum seq);
     const SbEntry *findSbByTraceIdx(TraceIndex idx) const;
     void completeInst(DynInst &inst);
@@ -352,11 +358,11 @@ class Processor
     std::array<RegMapEntry, num_arch_regs> regMap;
 
     /**
-     * The instruction window, SoA-split: full DynInst records plus
-     * dense hot-field mirrors (see cpu/window.hh for the sync
-     * contract; heavyInvariants cross-checks the views at level 2).
+     * The instruction window: DynInst records in program order, each
+     * at a stable slot while resident. Index structures (consumer
+     * lists, loadBytes, pendingBits) refer to instructions by slot.
      */
-    Window rob;
+    CircularQueue<DynInst> rob;
     StoreBuffer sb;
     unsigned lsqCount; ///< Memory instructions resident in the window.
 

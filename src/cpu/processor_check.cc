@@ -222,16 +222,6 @@ Processor::heavyInvariants()
         }
     }
 
-    // The window's structure-of-arrays views against the canonical
-    // DynInst records: every mirrored hot field rebuilt and compared.
-    {
-        std::string complaint = rob.crossCheck();
-        if (!complaint.empty()) {
-            checkFail(SimErrorKind::Invariant,
-                      "window SoA mirror: " + complaint);
-        }
-    }
-
     // The pending-issue bitmap must be exactly the from-scratch
     // predicate over the live window: resident, not done, and not yet
     // (mem)issued.

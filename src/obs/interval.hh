@@ -5,7 +5,7 @@
  * series, turning end-of-run aggregates into time-resolved curves
  * (IPC over time, miss-speculation bursts, window-occupancy drift).
  *
- * Each line is a flat JSON object parseable by sweep::parseFlatJson:
+ * Each line is a flat JSON object parseable by parseFlatJson:
  *
  *   {"label":"099.go NAS/NAV","cycle":2000,"interval":1000,
  *    "commits":2514,"ipc":2.514,"violations":3,"replays":0,

@@ -3,8 +3,8 @@
  * Host-side metrics registry for the serving stack: monotonic
  * counters, gauges, and fixed-bucket latency histograms with quantile
  * estimates, exported as Prometheus-compatible text exposition and as
- * one flat JSON object (the dialect sweep::parseFlatJson reads, so a
- * registry snapshot can ride inside a cwsimd stats event).
+ * one flat JSON object (the dialect parseFlatJson in base/jsonl.hh
+ * reads, so a registry snapshot can ride inside a cwsimd stats event).
  *
  * This measures the SERVICE, not the simulation: where wall-clock time
  * goes across the queue → fork → run → cache pipeline (queue depth and
@@ -160,7 +160,7 @@ class MetricsRegistry
      * One flat JSON object with every metric: counters and gauges as
      * numbers, histograms as _count/_sum plus _p50/_p90/_p99 quantile
      * estimates (quantiles of an empty histogram export as "nan", the
-     * JsonObject convention). Parseable by sweep::parseFlatJson.
+     * JsonObject convention). Parseable by parseFlatJson.
      */
     std::string flatJson() const;
 

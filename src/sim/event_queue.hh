@@ -7,17 +7,6 @@
  * all events scheduled at or before the current tick. Events with equal
  * ticks fire in (priority, insertion-order) order so simulations are
  * bit-reproducible.
- *
- * Layout: a two-lane calendar queue. Nearly every event in the
- * simulator is a fixed-latency completion a few tens of ticks out
- * (cache hits, L2/memory fills, store releases), so events within
- * `horizon` ticks land in a ring of per-tick buckets — O(1) schedule,
- * O(1) per-tick drain, no heap sifting of fat callback-carrying
- * entries. The rare far-future event falls back to a conventional
- * binary heap and migrates into the ring only when it fires. A
- * per-tick mini-heap reproduces the historical
- * (tick, priority, insertion-order) firing order bit-for-bit, including
- * events scheduled at the current tick while it is being drained.
  */
 
 #ifndef CWSIM_SIM_EVENT_QUEUE_HH
@@ -37,8 +26,6 @@ class EventQueue
 {
   public:
     using Callback = InplaceFunction;
-
-    EventQueue() { ring.resize(horizon); }
 
     /**
      * Schedule @p cb to run at absolute tick @p when.
@@ -64,8 +51,8 @@ class EventQueue
     void drain();
 
     Tick curTick() const { return curTick_; }
-    bool empty() const { return numPending == 0; }
-    size_t size() const { return numPending; }
+    bool empty() const { return heap.empty(); }
+    size_t size() const { return heap.size(); }
 
     uint64_t scheduledCount() const { return numScheduled; }
     uint64_t firedCount() const { return numFired; }
@@ -74,14 +61,6 @@ class EventQueue
     void reset();
 
   private:
-    /**
-     * Ring span. Must exceed the longest fixed latency in the machine
-     * (a full memory fill plus transfer is well under 200 ticks);
-     * events beyond it take the far-heap slow path, which is merely
-     * slower, never wrong.
-     */
-    static constexpr size_t horizon = 256;
-
     struct Entry
     {
         Tick when;
@@ -103,42 +82,12 @@ class EventQueue
         }
     };
 
-    size_t bucketOf(Tick when) const { return when & (horizon - 1); }
+    /** Pop the earliest event, advance time to it and run it. */
+    void fireNext();
 
-    /** Fire every event at exactly tick @p t, in (priority, seq) order. */
-    void fireTick(Tick t);
-
-    /**
-     * Smallest pending tick (numPending must be non-zero). Advances
-     * the near-lane scan hint, so not const.
-     */
-    Tick nextEventTick();
-
-    /**
-     * Near lane: per-tick buckets for when < curTick_ + horizon. A
-     * bucket holds its events in insertion order; fireTick() imposes
-     * the (priority, seq) order when the tick is reached.
-     */
-    std::vector<std::vector<Entry>> ring;
-    /** Far lane: events at or beyond the ring horizon. */
-    std::priority_queue<Entry, std::vector<Entry>, Later> far;
-    /**
-     * Scratch mini-heap for the tick being drained; a member so its
-     * capacity is reused across ticks.
-     */
-    std::vector<Entry> firing;
-
+    std::priority_queue<Entry, std::vector<Entry>, Later> heap;
     Tick curTick_ = 0;
     uint64_t nextSeq = 0;
-    size_t numPending = 0;
-    /** Entries currently sitting in ring buckets. */
-    size_t nearCount = 0;
-    /**
-     * Lower bound on the tick of every near-lane event; lets
-     * nextEventTick() resume its bucket scan where the last one
-     * stopped instead of rescanning from curTick_.
-     */
-    Tick nextNear = 0;
     uint64_t numScheduled = 0;
     uint64_t numFired = 0;
 };

@@ -147,7 +147,7 @@ class StatGroup
      * fully-qualified stat names, e.g. {"proc.commits":123,...}.
      * Averages contribute .mean/.count keys; distributions contribute
      * .mean/.count/.min/.max/.underflow/.overflow and one .bucketK per
-     * bucket. Flat on purpose: sweep::parseFlatJson round-trips it.
+     * bucket. Flat on purpose: parseFlatJson round-trips it.
      */
     void dumpJson(std::ostream &os) const;
     std::string jsonString() const;

@@ -1,7 +1,5 @@
 #include "svc/client.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -10,9 +8,9 @@
 #include <cerrno>
 #include <cstring>
 
+#include "base/jsonl.hh"
 #include "base/str.hh"
 #include "svc/protocol.hh"
-#include "sweep/jsonl.hh"
 
 namespace cwsim
 {
@@ -65,36 +63,6 @@ Client::connectUnix(const std::string &path, std::string *err)
 }
 
 bool
-Client::connectTcp(const std::string &host, uint16_t port,
-                   std::string *err)
-{
-    ::signal(SIGPIPE, SIG_IGN);
-    struct sockaddr_in in{};
-    in.sin_family = AF_INET;
-    in.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &in.sin_addr) != 1) {
-        if (err)
-            *err = strfmt("not an IPv4 address: %s", host.c_str());
-        return false;
-    }
-    fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-        if (err)
-            *err = strfmt("socket: %s", std::strerror(errno));
-        return false;
-    }
-    if (::connect(fd, reinterpret_cast<struct sockaddr *>(&in),
-                  sizeof(in)) < 0) {
-        if (err)
-            *err = strfmt("connect %s:%u: %s", host.c_str(),
-                          unsigned(port), std::strerror(errno));
-        close();
-        return false;
-    }
-    return true;
-}
-
-bool
 Client::sendLine(const std::string &line, std::string *err)
 {
     std::string data = line;
@@ -125,7 +93,7 @@ Client::nextEvent(std::map<std::string, std::string> &ev,
             if (trim(last).empty())
                 continue;
             ev.clear();
-            if (!sweep::parseFlatJson(last, ev)) {
+            if (!parseFlatJson(last, ev)) {
                 if (err)
                     *err = strfmt("unparseable event: %s",
                                   last.c_str());

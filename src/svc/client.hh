@@ -1,10 +1,10 @@
 /**
  * @file
- * Client session for the cwsimd protocol: connect to a server (Unix
- * socket or loopback TCP), send request lines, and iterate response
- * events. Blocking and single-threaded — the client side of this
- * protocol has no concurrency to manage, it writes a line and reads
- * events until its sweep is done.
+ * Client session for the cwsimd protocol: connect to a server's Unix
+ * socket, send request lines, and iterate response events. Blocking
+ * and single-threaded — the client side of this protocol has no
+ * concurrency to manage, it writes a line and reads events until its
+ * sweep is done.
  *
  * Shared by tools/cwsim-client.cc, `cwsim-report --connect`, and the
  * protocol tests.
@@ -13,7 +13,6 @@
 #ifndef CWSIM_SVC_CLIENT_HH
 #define CWSIM_SVC_CLIENT_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
@@ -47,9 +46,6 @@ class Client
 
     /** Connect to a Unix-domain socket; false with @p err set. */
     bool connectUnix(const std::string &path, std::string *err);
-    /** Connect to a TCP endpoint (dotted-quad host). */
-    bool connectTcp(const std::string &host, uint16_t port,
-                    std::string *err);
     bool connected() const { return fd >= 0; }
     void close();
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * The cwsimd wire protocol: line-delimited flat JSON over a stream
- * socket (Unix-domain, or TCP for remote clients).
+ * The cwsimd wire protocol: line-delimited flat JSON over a
+ * Unix-domain stream socket.
  *
  * Every request and every event is ONE flat JSON object on ONE line —
  * the same no-nesting dialect the run cache and JSONL exporter speak
- * (sweep/jsonl.hh), so a run record can travel inside an event by
+ * (base/jsonl.hh), so a run record can travel inside an event by
  * merging objects instead of nesting them.
  *
  * Requests carry a "cmd" field:

@@ -1,8 +1,6 @@
 #include "svc/server.hh"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -16,12 +14,12 @@
 #include <cstring>
 #include <set>
 
+#include "base/jsonl.hh"
 #include "base/logging.hh"
 #include "base/sim_error.hh"
 #include "base/str.hh"
 #include "svc/log.hh"
 #include "svc/protocol.hh"
-#include "sweep/jsonl.hh"
 
 namespace cwsim
 {
@@ -98,7 +96,6 @@ Server::~Server()
     for (auto &[fd, s] : sessions)
         ::close(fd);
     closeFd(unixFd);
-    closeFd(tcpFd);
     closeFd(stopRd);
     closeFd(stopWr);
     if (!opts.socketPath.empty())
@@ -158,34 +155,6 @@ Server::start(std::string *err)
             *err = strfmt("bind %s: %s", opts.socketPath.c_str(),
                           std::strerror(errno));
         return false;
-    }
-
-    if (opts.tcpPort != 0) {
-        tcpFd = ::socket(AF_INET,
-                         SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-        if (tcpFd < 0) {
-            if (err)
-                *err = strfmt("socket: %s", std::strerror(errno));
-            return false;
-        }
-        int one = 1;
-        ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        struct sockaddr_in in{};
-        in.sin_family = AF_INET;
-        in.sin_port = htons(opts.tcpPort);
-        // Loopback only: the protocol has no authentication, so the
-        // TCP listener must not be reachable off-host.
-        in.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::bind(tcpFd, reinterpret_cast<struct sockaddr *>(&in),
-                   sizeof(in)) < 0 ||
-            ::listen(tcpFd, 64) < 0) {
-            if (err)
-                *err = strfmt("bind 127.0.0.1:%u: %s",
-                              unsigned(opts.tcpPort),
-                              std::strerror(errno));
-            return false;
-        }
     }
 
     if (opts.isolate) {
@@ -407,7 +376,7 @@ Server::deliverRecord(Session &s, const RunRef &ref,
                       const harness::RunResult &r, uint64_t fp,
                       uint64_t scale)
 {
-    sweep::JsonObject env;
+    JsonObject env;
     env.add("ev", "run")
         .add("id", ref.sweepId)
         .add("seq", ref.seq)
@@ -424,7 +393,7 @@ Server::deliverRecord(Session &s, const RunRef &ref,
             ++prog.failed;
     }
     if (prog.delivered >= prog.total) {
-        sweep::JsonObject done;
+        JsonObject done;
         done.add("ev", "done")
             .add("id", ref.sweepId)
             .add("runs", prog.total)
@@ -522,7 +491,7 @@ Server::finishUnit(uint64_t key, harness::RunResult r,
         if (!s || s->dead)
             continue; // orphaned subscription; the cache has it
         for (const std::string &sample : intervalLines) {
-            sweep::JsonObject env;
+            JsonObject env;
             env.add("ev", "interval")
                 .add("id", ref.sweepId)
                 .add("seq", ref.seq);
@@ -594,7 +563,7 @@ Server::handleSubmit(Session &s,
             .inc();
         logLine(s.id, strfmt("submit '%s' rejected: %s", id.c_str(),
                              reason.c_str()));
-        sweep::JsonObject o;
+        JsonObject o;
         o.add("ev", "rejected").add("id", id).add("reason", reason);
         send(s, o.str());
     };
@@ -649,7 +618,7 @@ Server::handleSubmit(Session &s,
                          (unsigned long long)cached,
                          (unsigned long long)attached,
                          (unsigned long long)fresh));
-    sweep::JsonObject acc;
+    JsonObject acc;
     acc.add("ev", "accepted")
         .add("id", spec.id)
         .add("runs", static_cast<uint64_t>(jobs.size()))
@@ -695,17 +664,17 @@ void
 Server::handleLine(Session &s, const std::string &line)
 {
     std::map<std::string, std::string> req;
-    if (!sweep::parseFlatJson(line, req)) {
+    if (!parseFlatJson(line, req)) {
         if (sm.protocolErrors)
             sm.protocolErrors->inc();
-        sweep::JsonObject o;
+        JsonObject o;
         o.add("ev", "error").add("reason", "malformed request");
         send(s, o.str());
         return;
     }
     std::string cmd = field(req, "cmd");
     if (cmd == "hello") {
-        sweep::JsonObject o;
+        JsonObject o;
         o.add("ev", "hello")
             .add("proto", static_cast<uint64_t>(protocol_version))
             .add("slots", static_cast<uint64_t>(opts.slots))
@@ -715,12 +684,12 @@ Server::handleLine(Session &s, const std::string &line)
             .add("scale", opts.defaultScale);
         send(s, o.str());
     } else if (cmd == "ping") {
-        sweep::JsonObject o;
+        JsonObject o;
         o.add("ev", "pong");
         send(s, o.str());
     } else if (cmd == "stats") {
         refreshSnapshotGauges();
-        sweep::JsonObject o;
+        JsonObject o;
         o.add("ev", "stats")
             .add("clients", static_cast<uint64_t>(sessions.size()))
             .add("total_clients", totalSessions)
@@ -742,13 +711,13 @@ Server::handleLine(Session &s, const std::string &line)
         uint64_t count = 0;
         cache->forEach([&](uint64_t fp, uint64_t scale,
                            const harness::RunResult &r) {
-            sweep::JsonObject env;
+            JsonObject env;
             env.add("ev", "corpus_record");
             send(s, mergeJson(env.str(),
                               sweep::runRecordLine(r, fp, scale)));
             ++count;
         });
-        sweep::JsonObject o;
+        JsonObject o;
         o.add("ev", "corpus_done").add("count", count);
         send(s, o.str());
     } else if (cmd == "submit") {
@@ -759,7 +728,7 @@ Server::handleLine(Session &s, const std::string &line)
     } else {
         if (sm.protocolErrors)
             sm.protocolErrors->inc();
-        sweep::JsonObject o;
+        JsonObject o;
         o.add("ev", "error")
             .add("reason", strfmt("unknown cmd '%s'", cmd.c_str()));
         send(s, o.str());
@@ -796,7 +765,7 @@ Server::run()
         if (draining && sched.queued() == 0 && sched.running() == 0 &&
             (!pool || pool->idle())) {
             for (auto &[fd, s] : sessions) {
-                sweep::JsonObject o;
+                JsonObject o;
                 o.add("ev", "shutdown");
                 send(s, o.str());
                 // Final flush: switch to blocking so the goodbye
@@ -819,7 +788,6 @@ Server::run()
             // supervisor polling the path sees the drain finish even
             // though the Server object lingers.
             closeFd(unixFd);
-            closeFd(tcpFd);
             ::unlink(opts.socketPath.c_str());
             return 0;
         }
@@ -831,8 +799,6 @@ Server::run()
         if (!draining) {
             if (unixFd >= 0)
                 pfds.push_back({unixFd, POLLIN, 0});
-            if (tcpFd >= 0)
-                pfds.push_back({tcpFd, POLLIN, 0});
         }
         size_t sessionsAt = pfds.size();
         for (auto &[fd, s] : sessions) {
@@ -872,8 +838,7 @@ Server::run()
             if (!draining) {
                 draining = true;
                 closeFd(unixFd);
-                closeFd(tcpFd);
-                logLine(0, strfmt("drain requested; listeners closed, "
+                logLine(0, strfmt("drain requested; listener closed, "
                                   "%zu run(s) still in flight",
                                   sched.queued() + sched.running()));
             }
@@ -916,7 +881,7 @@ Server::run()
                 if (line.size() > max_request_line) {
                     if (sm.protocolErrors)
                         sm.protocolErrors->inc();
-                    sweep::JsonObject o;
+                    JsonObject o;
                     o.add("ev", "error")
                         .add("reason", "request line too long");
                     send(s, o.str());
@@ -931,7 +896,7 @@ Server::run()
             if (!s.dead && s.inBuf.size() > max_request_line) {
                 if (sm.protocolErrors)
                     sm.protocolErrors->inc();
-                sweep::JsonObject o;
+                JsonObject o;
                 o.add("ev", "error")
                     .add("reason", "request line too long");
                 send(s, o.str());

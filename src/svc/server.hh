@@ -7,8 +7,7 @@
  *
  *   - a self-pipe, written by requestStop() (the SIGTERM handler in
  *     tools/cwsimd.cc), turning signals into poll wakeups
- *   - the listeners: a Unix-domain socket, plus an optional loopback
- *     TCP port for remote clients
+ *   - the listener: a Unix-domain socket
  *   - client sessions: buffered line-delimited JSON (svc/protocol.hh),
  *     non-blocking both ways, with a hard output-backlog cap so one
  *     stalled reader cannot wedge the server
@@ -64,8 +63,6 @@ struct ServerOptions
 {
     /** Unix-domain socket path (required). */
     std::string socketPath;
-    /** Loopback TCP port (0 = Unix socket only). */
-    uint16_t tcpPort = 0;
     /** Shared run-cache directory. */
     std::string cacheDir = ".cwsim-cache";
     /** Default dynamic-instruction scale for specs that omit one. */
@@ -186,7 +183,6 @@ class Server
     std::map<uint64_t, std::unique_ptr<harness::Runner>> runners;
     std::map<int, Session> sessions; ///< By fd.
     int unixFd = -1;
-    int tcpFd = -1;
     int stopRd = -1;
     int stopWr = -1;
     bool draining = false;

@@ -18,12 +18,12 @@
 #include <new>
 #include <thread>
 
+#include "base/jsonl.hh"
 #include "base/logging.hh"
 #include "base/sim_error.hh"
 #include "base/str.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sweep/jsonl.hh"
 #include "sweep/run_cache.hh"
 
 namespace cwsim

@@ -8,13 +8,14 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 
+#include "base/jsonl.hh"
 #include "base/str.hh"
 #include "obs/cpi_stack.hh"
 #include "sim/table.hh"
-#include "sweep/jsonl.hh"
 #include "sweep/run_cache.hh"
 #include "workloads/workload.hh"
 
@@ -1072,18 +1073,57 @@ namespace
 
 using RecordMap = std::map<std::string, const ReportRecord *>;
 
-RecordMap
-mapByRunKey(const std::vector<ReportRecord> &records)
+std::string
+runKey(const ReportRecord &r)
 {
-    RecordMap out;
+    return strfmt("%s %s (scale %llu)", r.run.workload.c_str(),
+                  r.run.config.c_str(),
+                  static_cast<unsigned long long>(r.scale));
+}
+
+/**
+ * Add to @p out every run key that names more than one run in
+ * @p records: a config name is only the LSQ model plus the policy, so
+ * e.g. the AS scheduler at 0, 1 and 2 cycles shares one. Records with
+ * one key and one non-empty fp are the same run recorded again.
+ */
+void
+addCollidingKeys(const std::vector<ReportRecord> &records,
+                 std::set<std::string> &out)
+{
+    std::map<std::string, const std::string *> fp_of;
     for (const ReportRecord &r : records) {
-        std::string key = strfmt(
-            "%s %s (scale %llu)", r.run.workload.c_str(),
-            r.run.config.c_str(),
-            static_cast<unsigned long long>(r.scale));
+        auto [it, fresh] = fp_of.emplace(runKey(r), &r.fp);
+        if (!fresh && (r.fp.empty() || *it->second != r.fp))
+            out.insert(it->first);
+    }
+}
+
+/**
+ * Key every record by run key, told apart by fp where the key is in
+ * @p colliding. Within one file a later record for the same key
+ * supersedes an earlier one. False with @p err when a colliding
+ * record has no fp to tell it apart by.
+ */
+bool
+mapByRunKey(const std::vector<ReportRecord> &records,
+            const std::set<std::string> &colliding, RecordMap &out,
+            std::string &err)
+{
+    for (const ReportRecord &r : records) {
+        std::string key = runKey(r);
+        if (colliding.count(key)) {
+            if (r.fp.empty()) {
+                err = "ambiguous run key: " + key +
+                      " names several runs, and a record of it has "
+                      "no fp to tell them apart";
+                return false;
+            }
+            key += " [fp " + r.fp + "]";
+        }
         out[key] = &r; // later records win
     }
-    return out;
+    return true;
 }
 
 void
@@ -1110,8 +1150,14 @@ diffRunRecords(const std::vector<ReportRecord> &baseline,
                const std::vector<ReportRecord> &current)
 {
     DiffResult d;
-    RecordMap base = mapByRunKey(baseline);
-    RecordMap cur = mapByRunKey(current);
+    std::set<std::string> colliding;
+    addCollidingKeys(baseline, colliding);
+    addCollidingKeys(current, colliding);
+    RecordMap base, cur;
+    if (!mapByRunKey(baseline, colliding, base, d.error) ||
+        !mapByRunKey(current, colliding, cur, d.error)) {
+        return d;
+    }
 
     for (const auto &[key, b] : base) {
         auto it = cur.find(key);
@@ -1195,6 +1241,8 @@ diffRunRecords(const std::vector<ReportRecord> &baseline,
 std::string
 formatDiff(const DiffResult &d)
 {
+    if (!d.error.empty())
+        return "stats-diff: " + d.error + "\n";
     std::ostringstream os;
     os << strfmt("stats-diff: %zu run(s) compared, %zu drifting "
                  "field(s), %zu baseline-only, %zu current-only",

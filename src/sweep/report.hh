@@ -78,7 +78,8 @@ std::string renderDepProfile(const mdp::DepProfileFile &profile,
 /** One drifting field of one (workload, config, scale) run. */
 struct DriftEntry
 {
-    std::string key; ///< "workload config (scale N)"
+    /** "workload config (scale N)", plus " [fp F]" when it collides. */
+    std::string key;
     std::string field;
     std::string baseline;
     std::string current;
@@ -92,12 +93,18 @@ struct DiffResult
     /** Runs whose CPI stacks were not compared (one side pre-v3). */
     size_t cpiSkipped = 0;
     std::vector<DriftEntry> drift;
+    /** Why the inputs could not be compared at all ("" when they were). */
+    std::string error;
 
-    /** No drifting fields and the same run population on both sides. */
+    /**
+     * Comparable inputs, no drifting fields and the same run
+     * population on both sides.
+     */
     bool
     clean() const
     {
-        return drift.empty() && baselineOnly == 0 && currentOnly == 0;
+        return error.empty() && drift.empty() && baselineOnly == 0 &&
+               currentOnly == 0;
     }
 };
 
@@ -105,8 +112,12 @@ struct DiffResult
  * Compare two record sets keyed by (workload, config, scale),
  * field-by-field over every simulated stat (counters, ok/error, the
  * CPI stack when both sides carry one). Host-profiling fields are
- * ignored. Within one file, a later record for the same key supersedes
- * an earlier one (the run-cache "later records win" rule).
+ * ignored. A key that names several runs in either file (the config
+ * name omits e.g. the AS latency and the recovery model) is told apart
+ * by fp on both sides; when a record of such a key has no fp, the
+ * diff fails with @c error set. Within one file, a later record for
+ * the same run supersedes an earlier one (the run-cache "later
+ * records win" rule).
  */
 DiffResult diffRunRecords(const std::vector<ReportRecord> &baseline,
                           const std::vector<ReportRecord> &current);

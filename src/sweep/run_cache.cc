@@ -15,9 +15,9 @@
 #include <limits>
 #include <sstream>
 
+#include "base/jsonl.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "sweep/jsonl.hh"
 
 namespace cwsim
 {

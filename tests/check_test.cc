@@ -303,7 +303,7 @@ TEST(WatchdogTrip, HealthyRunNeverTrips)
 }
 
 // ---------------------------------------------------------------- //
-// Window churn keeps the SoA mirror coherent                       //
+// Window churn keeps the slot-indexed structures coherent          //
 // ---------------------------------------------------------------- //
 
 TEST(WindowChurn, SoaMirrorSurvivesFillSquashRefill)
@@ -312,9 +312,9 @@ TEST(WindowChurn, SoaMirrorSurvivesFillSquashRefill)
     // recovery models with the level-2 checker on: a small window
     // keeps constant fill pressure, and a high spurious-violation
     // rate storms the recovery machinery. Every cycle the heavy
-    // invariants rebuild the window's structure-of-arrays mirror
-    // from the canonical DynInst records (Window::crossCheck), so a
-    // hot-field write that misses its sync() fails the run here.
+    // invariants rebuild the pending-issue bitmap, the consumer lists
+    // and the load-byte index from the window's DynInst records, so
+    // an index left stale by a squash or a replay fails the run here.
     harness::Runner runner(20'000);
     for (RecoveryModel recovery :
          {RecoveryModel::Squash, RecoveryModel::Selective}) {

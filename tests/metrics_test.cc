@@ -3,7 +3,7 @@
  * Tests for the host-side telemetry pieces (src/obs/metrics,
  * src/obs/spans): histogram bucket/quantile edge cases, the strict
  * line grammar of the Prometheus text exposition, the flat-JSON
- * export round-tripping through sweep::parseFlatJson, and the
+ * export round-tripping through parseFlatJson, and the
  * trace-event writer producing a loadable JSON array.
  */
 
@@ -21,9 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include "base/jsonl.hh"
 #include "obs/metrics.hh"
 #include "obs/spans.hh"
-#include "sweep/jsonl.hh"
 
 namespace cwsim
 {
@@ -234,7 +234,7 @@ TEST(ObsRegistry, FlatJsonParsesAndFlattensLabelsAndQuantiles)
     populateRegistry(reg);
     std::string json = reg.flatJson();
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(json, fields)) << json;
+    ASSERT_TRUE(parseFlatJson(json, fields)) << json;
     EXPECT_EQ(fields["test_events_total"], "3");
     EXPECT_EQ(fields["test_outcomes_total_ok"], "2");
     EXPECT_EQ(fields["test_outcomes_total_crash"], "0");
@@ -254,7 +254,7 @@ TEST(ObsRegistry, EmptyHistogramQuantilesExportAsQuotedNan)
     MetricsRegistry reg;
     reg.histogram("idle_seconds", "Never observed.", {1.0});
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(reg.flatJson(), fields));
+    ASSERT_TRUE(parseFlatJson(reg.flatJson(), fields));
     EXPECT_EQ(fields["idle_seconds_count"], "0");
     EXPECT_EQ(fields["idle_seconds_p50"], "nan")
         << "non-finite numbers must not corrupt the JSON";
@@ -308,7 +308,7 @@ TEST(ObsSpans, WriterEmitsAValidOneEventPerLineJsonArray)
             body = body.substr(0, at) + body.substr(close + 1);
         }
         std::map<std::string, std::string> evf;
-        ASSERT_TRUE(sweep::parseFlatJson(body, evf)) << lines[i];
+        ASSERT_TRUE(parseFlatJson(body, evf)) << lines[i];
         ASSERT_TRUE(evf.count("ph")) << body;
         if (evf["ph"] == "X") {
             ++completes;

@@ -14,12 +14,12 @@
 #include <sstream>
 #include <string>
 
+#include "base/jsonl.hh"
 #include "cpu/processor.hh"
 #include "obs/interval.hh"
 #include "obs/pipeview.hh"
 #include "obs/trace.hh"
 #include "sim/config.hh"
-#include "sweep/jsonl.hh"
 #include "workloads/workload.hh"
 
 namespace cwsim
@@ -251,7 +251,7 @@ TEST_F(ObsTest, IntervalSamplerComputesDeltas)
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("label"), "unit test");
     EXPECT_EQ(fields.at("cycle"), "1000");
     EXPECT_EQ(fields.at("interval"), "1000");
@@ -262,7 +262,7 @@ TEST_F(ObsTest, IntervalSamplerComputesDeltas)
 
     ASSERT_TRUE(std::getline(in, line));
     fields.clear();
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("cycle"), "2000");
     EXPECT_EQ(fields.at("commits"), "1500"); // delta, not total
     EXPECT_EQ(fields.at("replays"), "7");
@@ -299,7 +299,7 @@ TEST_F(ObsTest, IntervalSamplerFinalizeFlushesTrailingPartialInterval)
     ASSERT_TRUE(std::getline(in, line));
     ASSERT_TRUE(std::getline(in, line));
     ASSERT_TRUE(std::getline(in, line)); // the flushed tail
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("cycle"), "2750");
     EXPECT_EQ(fields.at("interval"), "750");
     EXPECT_EQ(fields.at("commits"), "600");
@@ -365,7 +365,7 @@ TEST_F(ObsTest, ProcessorEmitsValidPipelineTraceAndIntervals)
     uint64_t total_commits = 0;
     while (std::getline(intervals, line)) {
         std::map<std::string, std::string> fields;
-        ASSERT_TRUE(sweep::parseFlatJson(line, fields)) << line;
+        ASSERT_TRUE(parseFlatJson(line, fields)) << line;
         for (const char *key :
              {"label", "cycle", "interval", "commits", "ipc",
               "violations", "replays", "false_dep_loads",

@@ -13,9 +13,11 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "base/str.hh"
 #include "mdp/dep_profile.hh"
 #include "obs/cpi_stack.hh"
 #include "obs/depprof.hh"
+#include "sim/config.hh"
 #include "sweep/report.hh"
 #include "sweep/run_cache.hh"
 
@@ -260,6 +262,72 @@ TEST(ReportDiff, NanFalseDepLatencyDoesNotSelfDrift)
 
     b[0].run.falseDepLatency = 17.5;
     EXPECT_FALSE(sweep::diffRunRecords(a, b).clean());
+}
+
+/**
+ * Figure 3's six runs for one workload: AS/NO and AS/NAV at 0, 1 and
+ * 2 scheduler cycles. The config name leaves the latency out, so each
+ * name covers three runs that only their fp tells apart.
+ */
+std::vector<ReportRecord>
+fig3Records(const std::string &workload)
+{
+    std::vector<ReportRecord> out;
+    for (Cycles lat = 0; lat <= 2; ++lat) {
+        for (SpecPolicy policy : {SpecPolicy::No, SpecPolicy::Naive}) {
+            SimConfig cfg = withPolicy(makeW128Config(), LsqModel::AS,
+                                       policy, lat);
+            ReportRecord rec =
+                makeRun(workload, cfg.name(), 1000 + 100 * lat, 2000);
+            rec.fp = strfmt("%016llx",
+                            static_cast<unsigned long long>(
+                                sweep::fingerprintRun(workload,
+                                                      rec.scale, cfg)));
+            out.push_back(rec);
+        }
+    }
+    return out;
+}
+
+TEST(ReportDiff, RunsSharingAConfigNameAreToldApartByFp)
+{
+    std::vector<ReportRecord> a = fig3Records("129.compress");
+    ASSERT_EQ(a[1].run.config, "AS/NAV");
+    std::vector<ReportRecord> b = a;
+    DiffResult same = sweep::diffRunRecords(a, b);
+    EXPECT_TRUE(same.clean());
+    EXPECT_EQ(same.compared, 6u);
+
+    // Only the 0-cycle AS/NAV run drifts: the 1- and 2-cycle runs that
+    // share its name must not hide it.
+    b[1].run.cycles += 12345;
+    DiffResult d = sweep::diffRunRecords(a, b);
+    EXPECT_FALSE(d.clean());
+    EXPECT_EQ(d.compared, 6u);
+    ASSERT_EQ(d.drift.size(), 1u);
+    EXPECT_EQ(d.drift[0].key,
+              "129.compress AS/NAV (scale 2000) [fp " + a[1].fp + "]");
+    EXPECT_EQ(d.drift[0].field, "cycles");
+
+    // A later record of the same run (same fp) still supersedes.
+    b.push_back(a[1]);
+    EXPECT_TRUE(sweep::diffRunRecords(a, b).clean());
+}
+
+TEST(ReportDiff, CollidingRunsWithoutFpAreAmbiguous)
+{
+    std::vector<ReportRecord> a = fig3Records("129.compress");
+    std::vector<ReportRecord> b = a;
+    b[3].fp.clear();
+
+    DiffResult d = sweep::diffRunRecords(a, b);
+    EXPECT_FALSE(d.clean());
+    EXPECT_EQ(d.compared, 0u);
+    EXPECT_NE(d.error.find("ambiguous run key: 129.compress AS/NAV "
+                           "(scale 2000)"),
+              std::string::npos) << d.error;
+    EXPECT_NE(sweep::formatDiff(d).find("ambiguous run key"),
+              std::string::npos);
 }
 
 TEST(ReportLoad, RoundTripsRunRecordLinesAndSkipsGarbage)

@@ -11,12 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "base/jsonl.hh"
 #include "sim/config.hh"
 #include "sim/config_parse.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
-#include "sweep/jsonl.hh"
 
 namespace cwsim
 {
@@ -120,8 +120,9 @@ TEST(EventQueueTest, ResetClearsCounters)
 
 TEST(EventQueueTest, FarFutureEventsInterleaveWithNearOnes)
 {
-    // Events beyond the calendar ring's horizon take the far-heap lane;
-    // they must still fire in global (tick, priority, insertion) order.
+    // Events scheduled hundreds or thousands of ticks out, in no
+    // particular order, must fire in global (tick, priority,
+    // insertion) order alongside near ones.
     EventQueue eq;
     std::vector<Tick> fired_at;
     auto rec = [&] { fired_at.push_back(eq.curTick()); };
@@ -140,15 +141,14 @@ TEST(EventQueueTest, FarFutureEventsInterleaveWithNearOnes)
 
 TEST(EventQueueTest, SameTickOrderSpansBothLanes)
 {
-    // Two events at the same tick, one scheduled while the tick was
-    // beyond the horizon (far lane) and one scheduled later from
-    // nearby (ring lane): priority then insertion order must still
-    // decide, exactly as with the single heap.
+    // Two events at the same tick, one scheduled far in advance and
+    // two scheduled later from nearby: priority then insertion order
+    // must still decide, whenever each was scheduled.
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(400, [&] { order.push_back(1); }, 1); // far at schedule time
+    eq.schedule(400, [&] { order.push_back(1); }, 1); // far in advance
     eq.schedule(200, [&] {
-        eq.schedule(400, [&] { order.push_back(0); }, 0); // near lane
+        eq.schedule(400, [&] { order.push_back(0); }, 0); // from nearby
         eq.schedule(400, [&] { order.push_back(2); }, 1);
     });
     eq.runUntil(400);
@@ -326,7 +326,7 @@ TEST(StatsTest, JsonExportRoundTripsThroughFlatJsonParser)
     child.addScalar("allocations", &allocs);
 
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(root.jsonString(), fields));
+    ASSERT_TRUE(parseFlatJson(root.jsonString(), fields));
     EXPECT_EQ(fields.at("proc.commits"), "123");
     EXPECT_EQ(fields.at("proc.mdpt.allocations"), "7");
     EXPECT_DOUBLE_EQ(std::stod(fields.at("proc.loadIssueDelay.mean")),
@@ -362,7 +362,7 @@ TEST(StatsTest, HexPcKeySegmentsSurviveJsonExport)
     depprof.addScalar("store_0xdeadBEEF.commits", &mixed);
 
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(root.jsonString(), fields));
+    ASSERT_TRUE(parseFlatJson(root.jsonString(), fields));
     EXPECT_EQ(fields.at("proc.depprof.load_0x0.execs"), "1");
     EXPECT_EQ(
         fields.at("proc.depprof.load_0xffffffffffffffff.violations"),

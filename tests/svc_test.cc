@@ -23,13 +23,13 @@
 
 #include <gtest/gtest.h>
 
+#include "base/jsonl.hh"
 #include "harness/harness.hh"
 #include "svc/client.hh"
 #include "svc/protocol.hh"
 #include "svc/scheduler.hh"
 #include "svc/server.hh"
 #include "svc/spec.hh"
-#include "sweep/jsonl.hh"
 #include "sweep/run_cache.hh"
 
 namespace cwsim
@@ -815,7 +815,7 @@ TEST(SvcServer, TraceEventsFileIsValidAndCoversEveryExecutedRun)
             body = body.substr(0, at) + body.substr(close + 1);
         }
         Event evf;
-        ASSERT_TRUE(sweep::parseFlatJson(body, evf)) << lines[i];
+        ASSERT_TRUE(parseFlatJson(body, evf)) << lines[i];
         ASSERT_TRUE(evf.count("ph")) << body;
         if (ev(evf, "ph") == "X") {
             Span s{ev(evf, "name"), ev(evf, "cat"),

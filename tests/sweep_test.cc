@@ -18,11 +18,11 @@
 #include <thread>
 #include <unistd.h>
 
+#include "base/jsonl.hh"
 #include "mdp/dep_profile.hh"
 #include "obs/cpi_stack.hh"
 #include "obs/depprof.hh"
 #include "sweep/bench_cli.hh"
-#include "sweep/jsonl.hh"
 #include "sweep/run_cache.hh"
 #include "sweep/sweep.hh"
 
@@ -387,7 +387,7 @@ TEST(SweepJson, OneRecordPerRunIncludingFailures)
     std::string line;
     while (std::getline(in, line)) {
         std::map<std::string, std::string> fields;
-        ASSERT_TRUE(sweep::parseFlatJson(line, fields)) << line;
+        ASSERT_TRUE(parseFlatJson(line, fields)) << line;
         records.push_back(std::move(fields));
     }
     ASSERT_EQ(records.size(), plan.size());
@@ -418,7 +418,7 @@ TEST(SweepRecord, V2RoundTripsHostProfilingFields)
 
     std::string line = sweep::runRecordLine(r, 0xabcdull, 3000);
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("v"), "5");
     EXPECT_EQ(fields.at("wall_ms"), "250");
     EXPECT_EQ(fields.at("sim_cycles_per_sec"), "20000");
@@ -454,7 +454,7 @@ TEST(SweepRecord, V3RoundTripsCpiStack)
 
     std::string line = sweep::runRecordLine(r, 0x1234ull, 3000);
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("commit_width"), "8");
     EXPECT_EQ(fields.at("cpi_committed"), "2600");
     EXPECT_EQ(fields.at("cpi_mem_dep_squash"), "1400");
@@ -483,7 +483,7 @@ TEST(SweepRecord, V1RecordsStayReadable)
     // A record written before the schema gained host-profiling fields
     // (run_record_version 1) must still parse, with the new fields
     // defaulted, so bumping the schema never invalidates a warm cache.
-    sweep::JsonObject obj;
+    JsonObject obj;
     obj.add("v", static_cast<uint64_t>(1))
         .add("fp", std::string("00000000deadbeef"))
         .add("workload", std::string("129.compress"))
@@ -507,7 +507,7 @@ TEST(SweepRecord, V1RecordsStayReadable)
         .add("ipc", 0.694);
 
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(obj.str(), fields));
+    ASSERT_TRUE(parseFlatJson(obj.str(), fields));
     RunResult parsed;
     ASSERT_TRUE(sweep::runRecordParse(fields, parsed));
     EXPECT_TRUE(parsed.ok);
@@ -541,7 +541,7 @@ TEST(SweepRecord, V4RoundTripsFailureTaxonomy)
 
     std::string line = sweep::runRecordLine(r, 0x1234ull, 3000);
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("fail_kind"), "crash");
     EXPECT_EQ(fields.at("fail_detail"), "SIGSEGV");
     EXPECT_EQ(fields.at("fail_injected"), "true");
@@ -582,7 +582,7 @@ TEST(SweepRecord, V5RoundTripsDependenceProfileSummary)
 
     std::string line = sweep::runRecordLine(r, 0x1234ull, 3000);
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("dep_profiled"), "true");
     EXPECT_EQ(fields.at("dep_loads"), "12");
     EXPECT_EQ(fields.at("dep_stores"), "7");
@@ -902,14 +902,14 @@ TEST(SweepParallelFor, CancelsQueuePromptlyOnError)
 
 TEST(JsonlTest, EscapeAndRoundTrip)
 {
-    sweep::JsonObject obj;
+    JsonObject obj;
     obj.add("s", std::string("a\"b\\c\nd"))
         .add("n", static_cast<uint64_t>(42))
         .add("f", 0.5)
         .add("b", true)
         .add("nan", std::numeric_limits<double>::quiet_NaN());
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(obj.str(), fields));
+    ASSERT_TRUE(parseFlatJson(obj.str(), fields));
     EXPECT_EQ(fields.at("s"), "a\"b\\c\nd");
     EXPECT_EQ(fields.at("n"), "42");
     EXPECT_EQ(fields.at("f"), "0.5");
@@ -920,12 +920,12 @@ TEST(JsonlTest, EscapeAndRoundTrip)
 TEST(JsonlTest, RejectsMalformedLines)
 {
     std::map<std::string, std::string> fields;
-    EXPECT_FALSE(sweep::parseFlatJson("", fields));
-    EXPECT_FALSE(sweep::parseFlatJson("not json", fields));
-    EXPECT_FALSE(sweep::parseFlatJson("{\"a\":1", fields));
-    EXPECT_FALSE(sweep::parseFlatJson("{\"a\":{\"b\":1}}", fields));
-    EXPECT_FALSE(sweep::parseFlatJson("{\"a\":1}trailing", fields));
-    EXPECT_TRUE(sweep::parseFlatJson("{}", fields));
+    EXPECT_FALSE(parseFlatJson("", fields));
+    EXPECT_FALSE(parseFlatJson("not json", fields));
+    EXPECT_FALSE(parseFlatJson("{\"a\":1", fields));
+    EXPECT_FALSE(parseFlatJson("{\"a\":{\"b\":1}}", fields));
+    EXPECT_FALSE(parseFlatJson("{\"a\":1}trailing", fields));
+    EXPECT_TRUE(parseFlatJson("{}", fields));
     EXPECT_TRUE(fields.empty());
 }
 

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "sweep/jsonl.hh"
+#include "base/jsonl.hh"
 #include "sweep/run_cache.hh"
 #include "svc/client.hh"
 #include "svc/protocol.hh"
@@ -28,7 +28,7 @@ namespace
 {
 
 using cwsim::svc::Client;
-using cwsim::sweep::JsonObject;
+using cwsim::JsonObject;
 
 int
 usage(const char *argv0, std::FILE *out)
@@ -36,10 +36,8 @@ usage(const char *argv0, std::FILE *out)
     std::fprintf(
         out,
         "usage: %s --socket PATH [options]\n"
-        "       %s --tcp HOST:PORT [options]\n"
         "\n"
         "  --socket PATH     connect to a cwsimd Unix socket\n"
-        "  --tcp HOST:PORT   connect over TCP (IPv4)\n"
         "  --id S            sweep identifier (default: sweep)\n"
         "  --preset P        named plan (fig2)\n"
         "  --workloads W     all | int | fp | comma-separated names\n"
@@ -57,7 +55,7 @@ usage(const char *argv0, std::FILE *out)
         "  --quiet           no per-run progress lines\n"
         "  --version         print schema/protocol/build identity\n"
         "  --help            this message\n",
-        argv0, argv0);
+        argv0);
     return out == stdout ? 0 : 2;
 }
 
@@ -73,7 +71,7 @@ field(const std::map<std::string, std::string> &ev, const char *key)
 int
 main(int argc, char **argv)
 {
-    std::string socketPath, tcpSpec, id = "sweep";
+    std::string socketPath, id = "sweep";
     std::string preset, workloads, filter, scale, interval;
     std::string jsonPath, intervalPath;
     std::vector<std::string> configs, sets;
@@ -99,8 +97,6 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--socket")
             socketPath = value("--socket");
-        else if (arg == "--tcp")
-            tcpSpec = value("--tcp");
         else if (arg == "--id")
             id = value("--id");
         else if (arg == "--preset")
@@ -136,27 +132,11 @@ main(int argc, char **argv)
 
     Client client;
     std::string err;
-    if (!socketPath.empty()) {
-        if (!client.connectUnix(socketPath, &err)) {
-            std::fprintf(stderr, "cwsim-client: %s\n", err.c_str());
-            return 2;
-        }
-    } else if (!tcpSpec.empty()) {
-        size_t colon = tcpSpec.rfind(':');
-        if (colon == std::string::npos) {
-            std::fprintf(stderr,
-                         "cwsim-client: --tcp wants HOST:PORT\n");
-            return 2;
-        }
-        std::string host = tcpSpec.substr(0, colon);
-        uint16_t port = static_cast<uint16_t>(
-            std::strtoul(tcpSpec.c_str() + colon + 1, nullptr, 10));
-        if (!client.connectTcp(host, port, &err)) {
-            std::fprintf(stderr, "cwsim-client: %s\n", err.c_str());
-            return 2;
-        }
-    } else {
+    if (socketPath.empty())
         return usage(argv[0], stderr);
+    if (!client.connectUnix(socketPath, &err)) {
+        std::fprintf(stderr, "cwsim-client: %s\n", err.c_str());
+        return 2;
     }
 
     std::map<std::string, std::string> ev;

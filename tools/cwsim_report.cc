@@ -8,8 +8,9 @@
  * touching its cache directory.
  *
  * Exit codes: 0 success (diff clean), 1 drift detected, 2 usage or
- * I/O error. The CI stats-diff job relies on this split to tell
- * "stats changed" apart from "the tool broke".
+ * I/O error, or diff inputs whose runs cannot be told apart. The CI
+ * stats-diff job relies on this split to tell "stats changed" apart
+ * from "the tool broke".
  */
 
 #include <cstdio>
@@ -417,6 +418,11 @@ main(int argc, char **argv)
             return 2;
         cwsim::sweep::DiffResult result =
             cwsim::sweep::diffRunRecords(baseline, current);
+        if (!result.error.empty()) {
+            std::fprintf(stderr, "cwsim-report: %s\n",
+                         result.error.c_str());
+            return 2;
+        }
         std::fputs(cwsim::sweep::formatDiff(result).c_str(), stdout);
         return result.clean() ? 0 : 1;
     }

@@ -4,7 +4,7 @@
  *
  * One long-running process owns a pool of isolated worker slots and a
  * shared run cache; any number of cwsim-client / cwsim-report
- * processes connect over the Unix socket (or loopback TCP), submit
+ * processes connect over the Unix socket, submit
  * sweep specs, and stream results. SIGTERM/SIGINT drain gracefully:
  * admitted runs finish and land in the corpus, then the process exits
  * 0.
@@ -50,7 +50,6 @@ usage(const char *argv0, std::FILE *out)
         "usage: %s --socket PATH [options]\n"
         "\n"
         "  --socket PATH    Unix-domain socket to listen on (required)\n"
-        "  --tcp PORT       also listen on 127.0.0.1:PORT\n"
         "  --cache-dir D    shared run-cache directory (default:\n"
         "                   CWSIM_CACHE_DIR env, else .cwsim-cache)\n"
         "  --jobs N         worker slots (default: CWSIM_JOBS env,\n"
@@ -131,9 +130,6 @@ main(int argc, char **argv)
             opts.traceEventsPath = value("--trace-events");
         } else if (arg == "--socket") {
             opts.socketPath = value("--socket");
-        } else if (arg == "--tcp") {
-            opts.tcpPort = static_cast<uint16_t>(
-                parseU64("--tcp", value("--tcp")));
         } else if (arg == "--cache-dir") {
             opts.cacheDir = value("--cache-dir");
         } else if (arg == "--jobs") {
