@@ -5,8 +5,8 @@
  * small vectors can draw from it.
  *
  * The simulator's hot allocations are all transient per-instruction
- * bookkeeping: unissued-store/barrier tracking sets, store-buffer
- * synonym lists, byte-index lists. They are created and destroyed
+ * bookkeeping: store-buffer ordering sets and synonym lists,
+ * byte-index lists. They are created and destroyed
  * millions of times per run but none outlive the Processor that owns
  * them. An arena turns each of those malloc/free pairs into a pointer
  * bump and a no-op: memory is reclaimed wholesale by reset() between

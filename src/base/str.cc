@@ -1,7 +1,7 @@
 #include "base/str.hh"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -89,19 +89,30 @@ lastLines(const std::string &s, size_t n)
     return out;
 }
 
+bool
+parseUnsigned(std::string_view text, uint64_t &out, unsigned base,
+              uint64_t max)
+{
+    // from_chars takes no whitespace, '+' or base prefix, and no '-'
+    // for an unsigned type; it reports overflow instead of wrapping.
+    uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] =
+        std::from_chars(text.data(), end, v, static_cast<int>(base));
+    if (ec != std::errc() || ptr != end || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
 uint64_t
 envUint64(const char *name, uint64_t min, uint64_t fallback)
 {
     const char *env = std::getenv(name);
     if (!env)
         return fallback;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    // strtoull tolerates signs and wraps negatives; require a plain
-    // digit string so "-4" is rejected instead of becoming 2^64-4.
-    bool digits = std::isdigit(static_cast<unsigned char>(env[0]));
-    if (!digits || end == env || *end != '\0' || errno == ERANGE) {
+    uint64_t v = 0;
+    if (!parseUnsigned(env, v)) {
         warn("ignoring %s=%s (not an unsigned integer); using %llu",
              name, env, static_cast<unsigned long long>(fallback));
         return fallback;

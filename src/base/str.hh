@@ -7,7 +7,9 @@
 #define CWSIM_BASE_STR_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cwsim
@@ -39,13 +41,24 @@ bool startsWith(const std::string &s, const std::string &prefix);
 std::string lastLines(const std::string &s, size_t n);
 
 /**
+ * Parse @p text as an unsigned integer in @p base (10 or 16): digits
+ * of that base only — no sign, whitespace, "0x" prefix or trailing
+ * junk, so "-1" cannot wrap to 2^64-1 and "010" is ten, not octal —
+ * and at most @p max. The one unsigned parser behind every config,
+ * CLI, record and profile reader. @return false, leaving @p out
+ * untouched, when @p text is not such a number.
+ */
+bool parseUnsigned(std::string_view text, uint64_t &out,
+                   unsigned base = 10,
+                   uint64_t max = std::numeric_limits<uint64_t>::max());
+
+/**
  * Read an unsigned integer from the environment, with validation.
  *
- * Returns @p fallback when @p name is unset. Malformed values (empty,
- * trailing junk, out of uint64_t range) and values below @p min are
- * rejected with a warn() and fall back too, so every knob read from
- * the environment (CWSIM_SCALE, CWSIM_JOBS, ...) reports bad input the
- * same way instead of silently truncating via strtoull.
+ * Returns @p fallback when @p name is unset. Values parseUnsigned()
+ * rejects and values below @p min are rejected with a warn() and fall
+ * back too, so every knob read from the environment (CWSIM_SCALE,
+ * CWSIM_JOBS, ...) reports bad input the same way.
  */
 uint64_t envUint64(const char *name, uint64_t min, uint64_t fallback);
 

@@ -15,7 +15,6 @@
 #include "base/types.hh"
 #include "bpred/bpred.hh"
 #include "isa/static_inst.hh"
-#include "mdp/mdp_table.hh"
 
 namespace cwsim
 {
@@ -27,13 +26,11 @@ namespace cwsim
  */
 enum class GateBlock : uint8_t
 {
-    None,        ///< Not gate-blocked (or not probed yet).
-    StoreSet,    ///< NO/SEL hold: waiting for all older stores.
-    Barrier,     ///< STORE: held behind an unissued store barrier.
-    Sync,        ///< SYNC: waiting on a synonym-predicted store.
-    OracleWait,  ///< ORACLE: a known producing store is in flight.
-    AsTrueDep,   ///< AS: address scheduler sees a real older conflict.
-    AsAmbiguous, ///< AS: conservative hold on an ambiguous older store.
+    None,      ///< Not gate-blocked (or not probed yet).
+    Ambiguous, ///< An older store's address is not visible yet.
+    TrueDep,   ///< A known producing store has not supplied its data.
+    Barrier,   ///< STORE: held behind an unissued store barrier.
+    Sync,      ///< SYNC: waiting on a synonym-predicted store.
 };
 
 struct DynInst
@@ -88,13 +85,12 @@ struct DynInst
     bool memIssued = false;
     bool memDone = false;
     uint64_t loadRaw = 0;          ///< Raw bytes read (pre-extension).
-    InstSeqNum loadSourceSeq = 0;  ///< Youngest forwarding store (0=mem).
     /**
      * Per-byte forwarding source: the seq of the store each byte of
      * loadRaw came from (0 = architectural memory). A store older than
      * the load violates it iff some byte it writes has a source seq
-     * below its own — the byte-wise test; the scalar loadSourceSeq
-     * alone cannot distinguish which bytes a partial forward covered.
+     * below its own — the byte-wise test; a single youngest-source seq
+     * cannot distinguish which bytes a partial forward covered.
      */
     std::array<InstSeqNum, 8> loadByteSource{};
     /** This load is registered in the processor's loadBytes index. */
@@ -109,11 +105,8 @@ struct DynInst
     /** SEL: predicted dependence -> wait for all older stores. */
     bool waitAllStores = false;
     /** SYNC consumer state. */
-    Synonym waitSynonym = invalid_synonym;
     bool hasSyncWait = false;
     InstSeqNum syncWaitStore = 0;
-    /** SYNC producer state (stores). */
-    bool syncProducer = false;
     /**
      * ORACLE: distinct producing stores' trace indices, oldest first.
      * Partial overlaps can give a load up to one producer per byte;

@@ -416,7 +416,7 @@ Processor::releaseStores()
         InstSeqNum seq = entry.seq;
         bool accepted = memSys.dataAccess(
             entry.addr, entry.size, true, [this, seq]() {
-                if (SbEntry *e = findSbEntry(seq)) {
+                if (SbEntry *e = sb.findSeq(seq)) {
                     e->releasing = false;
                     e->released = true;
                 }
@@ -545,8 +545,11 @@ Processor::doDispatch()
             entry.traceIdx = inst.traceIdx;
             entry.pc = inst.pc;
             entry.size = inst.memSize;
+            entry.barrier = policy == SpecPolicy::StoreBarrier &&
+                            mdpTable.predictsDependence(inst.pc);
+            if (policy == SpecPolicy::SpecSync)
+                entry.producerSynonym = mdpTable.synonymOf(inst.pc);
             inst.sbSlot = static_cast<int>(sb.allocate(entry));
-            unissuedStores.insert(inst.seq);
 
             // Fault injection: AS delays address posting directly in
             // postStoreAddr; for single-phase NAS stores the closest
@@ -562,23 +565,13 @@ Processor::doDispatch()
                 }
             }
 
-            if (policy == SpecPolicy::StoreBarrier &&
-                mdpTable.predictsDependence(inst.pc)) {
-                sb.slot(inst.sbSlot).barrier = true;
-                unissuedBarriers.insert(inst.seq);
+            if (entry.barrier) {
                 if (__builtin_expect(dprof != nullptr, 0))
                     dprof->noteStoreBarrier(inst.pc);
                 CWSIM_TRACE(MDP, "STORE predicts dependence: store seq "
                             "%llu pc 0x%llx becomes a barrier",
                             static_cast<unsigned long long>(inst.seq),
                             static_cast<unsigned long long>(inst.pc));
-            }
-            if (policy == SpecPolicy::SpecSync) {
-                Synonym syn = mdpTable.synonymOf(inst.pc);
-                if (syn != invalid_synonym) {
-                    sb.setProducerSynonym(inst.sbSlot, syn);
-                    inst.syncProducer = true;
-                }
             }
         }
 
@@ -597,7 +590,6 @@ Processor::doDispatch()
             if (policy == SpecPolicy::SpecSync) {
                 Synonym syn = mdpTable.synonymOf(inst.pc);
                 if (syn != invalid_synonym) {
-                    inst.waitSynonym = syn;
                     // Closest preceding store producing this synonym.
                     const SbEntry *e =
                         sb.youngestSynonymProducerBefore(syn, inst.seq);
@@ -778,18 +770,6 @@ Processor::findInst(InstSeqNum seq)
             hi = mid;
     }
     return nullptr;
-}
-
-SbEntry *
-Processor::findSbEntry(InstSeqNum seq)
-{
-    return sb.findSeq(seq);
-}
-
-const SbEntry *
-Processor::findSbByTraceIdx(TraceIndex idx) const
-{
-    return sb.findTraceIdx(idx);
 }
 
 void
@@ -1024,10 +1004,6 @@ Processor::squashYoungerThan(InstSeqNum keep_seq, Addr restart_pc,
             rm.busy = inst.prevDestBusy;
             rm.producer = inst.prevDestProducer;
         }
-        if (inst.isStore()) {
-            unissuedStores.erase(inst.seq);
-            unissuedBarriers.erase(inst.seq);
-        }
         if (inst.si.isMem())
             --lsqCount;
         ++pstats.squashedInsts;
@@ -1205,12 +1181,10 @@ Processor::classifyResidual() const
               case GateBlock::Sync:
                 cause = CpiCause::SyncWait;
                 break;
-              case GateBlock::OracleWait:
-              case GateBlock::AsTrueDep:
+              case GateBlock::TrueDep:
                 cause = CpiCause::TrueDep;
                 break;
-              case GateBlock::StoreSet:
-              case GateBlock::AsAmbiguous:
+              case GateBlock::Ambiguous:
                 // The false-dep probe (oracle pre-pass) tells us
                 // whether this hold protects a real dependence; with
                 // no oracle every hold is charged as false.

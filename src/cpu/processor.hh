@@ -26,7 +26,6 @@
 #include <set>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/byte_index.hh"
 #include "base/circular_queue.hh"
 #include "base/sim_error.hh"
@@ -193,13 +192,17 @@ class Processor
     // ---- issue helpers (processor_issue.cc) -------------------------
     /** One pending instruction's issue attempt (the doIssue body). */
     void tryIssue(DynInst &inst, unsigned &slots);
-    /** The policy gate: may this load access memory this cycle? */
+    /**
+     * The load gate of both LSQ models: may this load access memory
+     * this cycle? Records why not in inst.gateBlock.
+     */
     bool loadMayIssue(DynInst &inst);
-    bool gateNasAllOlderStoresIssued(const DynInst &inst) const;
-    bool gateStoreBarrier(const DynInst &inst);
     bool gateSync(DynInst &inst);
-    bool gateOracle(DynInst &inst);
-    bool gateAddressScheduler(DynInst &inst, bool speculate);
+    /**
+     * ORACLE / Table 3 probe: does a store that produces bytes of
+     * @p load (per the pre-pass) sit unexecuted in the store buffer?
+     */
+    bool oracleProducerPending(const DynInst &load) const;
 
     void executeLoad(DynInst &inst);
     void executeStoreNas(DynInst &inst);
@@ -207,8 +210,12 @@ class Processor
     void postStoreData(DynInst &inst);
     void storeBecameExecuted(DynInst &inst, SbEntry &entry);
 
-    void checkViolationsNas(const SbEntry &entry);
-    void checkStaleLoadsAs(const SbEntry &entry);
+    /**
+     * The violation walk of both LSQ models: recover every younger
+     * load that read a byte @p entry (just executed) should have
+     * supplied.
+     */
+    void checkViolations(const SbEntry &entry);
     void trainPredictors(const DynInst &load, const SbEntry &store);
     void replayLoad(DynInst &inst);
 
@@ -281,8 +288,6 @@ class Processor
     {
         return rob.slotLive(slot) && rob.slot(slot).seq == seq;
     }
-    SbEntry *findSbEntry(InstSeqNum seq);
-    const SbEntry *findSbByTraceIdx(TraceIndex idx) const;
     void completeInst(DynInst &inst);
     void broadcastResult(const DynInst &producer);
     void resolveControl(DynInst &inst);
@@ -401,14 +406,6 @@ class Processor
 
     /** Scratch for violation-check candidate collection. */
     std::vector<ByteSeqIndex::Ref> checkScratch;
-
-    /**
-     * Un-executed stores, by sequence number (the NAS "NO" gate).
-     * Arena-backed: one node churns per store, none outlive the run.
-     */
-    ArenaSet<InstSeqNum> unissuedStores;
-    /** Un-executed barrier-predicted stores (the STORE gate). */
-    ArenaSet<InstSeqNum> unissuedBarriers;
 
     // ---- fetch state ------------------------------------------------------
     struct FetchedInst

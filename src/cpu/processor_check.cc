@@ -20,6 +20,9 @@ namespace cwsim
 std::string
 Processor::machineStateDump() const
 {
+    size_t unissued_stores = 0;
+    for (size_t i = 0; i < sb.size(); ++i)
+        unissued_stores += !sb.at(i).executed;
     std::ostringstream os;
     os << strfmt("machine state @ cycle %llu: commits %llu, window "
                  "%zu/%u, SB %zu/%u, lsq %u/%u, fetchPc 0x%llx%s, "
@@ -30,7 +33,7 @@ Processor::machineStateDump() const
                  cfg.core.storeBufferSize, lsqCount, cfg.core.lsqSize,
                  static_cast<unsigned long long>(fetchPc),
                  fetchStalledOnSeq ? " (stalled on indirect)" : "",
-                 unissuedStores.size());
+                 unissued_stores);
     size_t shown = std::min<size_t>(rob.size(), 4);
     for (size_t i = 0; i < shown; ++i) {
         const DynInst &inst = rob.at(i);
@@ -163,23 +166,6 @@ Processor::heavyInvariants()
                       strfmt("uncommitted store seq %llu releasing",
                              static_cast<unsigned long long>(
                                  entry.seq)));
-        }
-    }
-
-    // The NO-gate set tracks exactly the unexecuted stores in flight.
-    for (InstSeqNum seq : unissuedStores) {
-        const DynInst *inst = findInst(seq);
-        if (!inst || !inst->isStore()) {
-            checkFail(SimErrorKind::Invariant,
-                      strfmt("unissued-store set names seq %llu which "
-                             "is not an in-flight store",
-                             static_cast<unsigned long long>(seq)));
-        }
-        if (inst->sbSlot >= 0 && sb.slot(inst->sbSlot).executed) {
-            checkFail(SimErrorKind::Invariant,
-                      strfmt("unissued-store set holds executed store "
-                             "seq %llu",
-                             static_cast<unsigned long long>(seq)));
         }
     }
 

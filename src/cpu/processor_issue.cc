@@ -145,66 +145,54 @@ Processor::tryIssue(DynInst &inst, unsigned &slots)
 bool
 Processor::loadMayIssue(DynInst &inst)
 {
-    if (lsqModel == LsqModel::AS) {
-        // AS configurations pair with NO or NAV only. The AS gate
-        // records its own (two-valued) block cause.
-        return gateAddressScheduler(inst,
-                                    policy == SpecPolicy::Naive);
-    }
-
-    // Evaluate the policy gate, and record WHY a refused load is
-    // gate-blocked so the commit-slot accounting can classify a
+    // One gate for both LSQ models; they differ only in when a store's
+    // address becomes visible (NAS: when the store executes; AS: once
+    // its base register is ready, plus asLatency), and the store
+    // buffer already answers in those terms. Record WHY a refused load
+    // is gate-blocked so the commit-slot accounting can classify a
     // stalled window head (obs/cpi_stack.hh). Observation only: the
-    // issue decision is exactly the gate's verdict.
-    bool may = true;
+    // issue decision is exactly the gates' verdict.
     GateBlock cause = GateBlock::None;
-    switch (policy) {
-      case SpecPolicy::No:
-        may = gateNasAllOlderStoresIssued(inst);
-        cause = GateBlock::StoreSet;
-        break;
-      case SpecPolicy::Naive:
-        break;
-      case SpecPolicy::Selective:
-        may = inst.waitAllStores ? gateNasAllOlderStoresIssued(inst)
-                                 : true;
-        cause = GateBlock::StoreSet;
-        break;
-      case SpecPolicy::StoreBarrier:
-        may = gateStoreBarrier(inst);
-        cause = GateBlock::Barrier;
-        break;
-      case SpecPolicy::SpecSync:
-        may = gateSync(inst);
-        cause = GateBlock::Sync;
-        break;
-      case SpecPolicy::Oracle:
-        may = gateOracle(inst);
-        cause = GateBlock::OracleWait;
-        break;
+    bool hold_ambiguous = lsqModel == LsqModel::AS
+        ? policy != SpecPolicy::Naive
+        : policy == SpecPolicy::No ||
+              (policy == SpecPolicy::Selective && inst.waitAllStores);
+    if (sb.blockingOlderStore(inst.effAddr, inst.memSize, inst.seq,
+                              cycle)) {
+        // Known true dependence: an older store with a visible address
+        // overlapping the load and no data yet (only AS stores post an
+        // address ahead of their data) — the load always waits.
+        cause = GateBlock::TrueDep;
+    } else if (hold_ambiguous && sb.ambiguousOlderThan(inst.seq, cycle)) {
+        // NO, a SEL-predicted load, and every AS policy but NAV wait
+        // until no older store's address is unknown.
+        cause = GateBlock::Ambiguous;
+    } else if (lsqModel == LsqModel::NAS) {
+        switch (policy) {
+          case SpecPolicy::StoreBarrier:
+            if (sb.barrierOlderThan(inst.seq)) {
+                cause = GateBlock::Barrier;
+                if (!inst.fdStallStarted) {
+                    ++pstats.barrierHolds;
+                    if (__builtin_expect(dprof != nullptr, 0))
+                        dprof->noteBarrierHold(inst.pc);
+                }
+            }
+            break;
+          case SpecPolicy::SpecSync:
+            if (!gateSync(inst))
+                cause = GateBlock::Sync;
+            break;
+          case SpecPolicy::Oracle:
+            if (oracleProducerPending(inst))
+                cause = GateBlock::TrueDep;
+            break;
+          default:
+            break;
+        }
     }
-    inst.gateBlock = may ? GateBlock::None : cause;
-    return may;
-}
-
-bool
-Processor::gateNasAllOlderStoresIssued(const DynInst &inst) const
-{
-    return unissuedStores.empty() ||
-           *unissuedStores.begin() > inst.seq;
-}
-
-bool
-Processor::gateStoreBarrier(const DynInst &inst)
-{
-    bool blocked = !unissuedBarriers.empty() &&
-                   *unissuedBarriers.begin() < inst.seq;
-    if (blocked && !inst.fdStallStarted) {
-        ++pstats.barrierHolds;
-        if (__builtin_expect(dprof != nullptr, 0))
-            dprof->noteBarrierHold(inst.pc);
-    }
-    return !blocked;
+    inst.gateBlock = cause;
+    return cause == GateBlock::None;
 }
 
 bool
@@ -212,7 +200,7 @@ Processor::gateSync(DynInst &inst)
 {
     if (!inst.hasSyncWait)
         return true;
-    SbEntry *store = findSbEntry(inst.syncWaitStore);
+    SbEntry *store = sb.findSeq(inst.syncWaitStore);
     if (!store || store->seq >= inst.seq) {
         // The store was squashed or has fully retired; nothing to wait
         // for any more.
@@ -225,44 +213,25 @@ Processor::gateSync(DynInst &inst)
 }
 
 bool
-Processor::gateOracle(DynInst &inst)
+Processor::oracleProducerPending(const DynInst &load) const
 {
-    // Wait for EVERY producing store, not just the youngest: with
+    // EVERY producing store counts, not just the youngest: with
     // partial overlaps a load reads bytes from several stores, and
     // issuing after only one of them would forward stale bytes from
     // the ranges the others cover.
-    for (unsigned i = 0; i < inst.oracleProducerCount; ++i) {
-        TraceIndex producer = inst.oracleProducers[i];
-        if (producer >= inst.traceIdx) {
+    for (unsigned i = 0; i < load.oracleProducerCount; ++i) {
+        TraceIndex producer = load.oracleProducers[i];
+        if (producer >= load.traceIdx) {
             // Wrong-path garbage mapping; never deadlock on it.
             continue;
         }
         if (producer < commitCount)
             continue; // the producing store already committed
-        const SbEntry *entry = findSbByTraceIdx(producer);
+        const SbEntry *entry = sb.findTraceIdx(producer);
         if (entry && !entry->executed)
-            return false;
+            return true;
     }
-    return true;
-}
-
-bool
-Processor::gateAddressScheduler(DynInst &inst, bool speculate)
-{
-    // Known true dependence: an older store with a visible address
-    // overlapping the load and no data yet — the load always waits.
-    if (sb.blockingOlderStore(inst.effAddr, inst.memSize, inst.seq,
-                              cycle)) {
-        inst.gateBlock = GateBlock::AsTrueDep;
-        return false;
-    }
-    // Otherwise NAV issues through ambiguity, NO waits it out.
-    if (!speculate && sb.ambiguousOlderThan(inst.seq, cycle)) {
-        inst.gateBlock = GateBlock::AsAmbiguous;
-        return false;
-    }
-    inst.gateBlock = GateBlock::None;
-    return true;
+    return false;
 }
 
 // ---------------------------------------------------------------------
@@ -315,12 +284,7 @@ Processor::executeLoad(DynInst &inst)
     }
 
     // Did the load execute with ambiguous older stores outstanding?
-    if (lsqModel == LsqModel::NAS) {
-        inst.speculativeLoad = !unissuedStores.empty() &&
-                               *unissuedStores.begin() < inst.seq;
-    } else {
-        inst.speculativeLoad = sb.ambiguousOlderThan(inst.seq, cycle);
-    }
+    inst.speculativeLoad = sb.ambiguousOlderThan(inst.seq, cycle);
 
     Cycles as_extra =
         lsqModel == LsqModel::AS ? cfg.mdp.asLatency : 0;
@@ -361,7 +325,6 @@ Processor::executeLoad(DynInst &inst)
     inst.memIssued = true;
     inst.issuedAt = cycle;
     inst.loadRaw = raw;
-    inst.loadSourceSeq = source;
     for (unsigned i = 0; i < inst.memSize; ++i)
         inst.loadByteSource[i] = sources[i];
     inst.result = exec::loadExtend(inst.si, raw);
@@ -470,8 +433,6 @@ void
 Processor::storeBecameExecuted(DynInst &inst, SbEntry &entry)
 {
     sb.setExecuted(static_cast<size_t>(inst.sbSlot), cycle);
-    unissuedStores.erase(inst.seq);
-    unissuedBarriers.erase(inst.seq);
     inst.issued = true;
     inst.done = true;
     inst.issuedAt = cycle;
@@ -485,10 +446,7 @@ Processor::storeBecameExecuted(DynInst &inst, SbEntry &entry)
         // loads can, but a control squash discards them before they
         // commit, and flagging them here would charge the idealized
         // oracle with violations it never architecturally commits.
-        if (lsqModel == LsqModel::AS)
-            checkStaleLoadsAs(entry);
-        else
-            checkViolationsNas(entry);
+        checkViolations(entry);
     }
 
     // Fault injection rides AFTER real violation detection so a genuine
@@ -523,7 +481,7 @@ Processor::trainPredictors(const DynInst &load, const SbEntry &store)
 }
 
 void
-Processor::checkViolationsNas(const SbEntry &entry)
+Processor::checkViolations(const SbEntry &entry)
 {
     // Every younger load that read a value this store should have
     // supplied, oldest first. One store can violate several
@@ -534,8 +492,10 @@ Processor::checkViolationsNas(const SbEntry &entry)
     //
     // Candidates come from the loadBytes index (the younger issued
     // loads reading any byte this store writes) instead of a window
-    // sweep; each is re-validated at visit time because a selective
-    // recovery for an older victim can reset or squash later ones.
+    // sweep; each is re-validated at visit time because a recovery for
+    // an older victim can reset or squash later ones. The byte-wise
+    // source test catches loads that forwarded only part of their
+    // bytes from a younger store.
     checkScratch.clear();
     loadBytes.collectYoungerThan(entry.addr, entry.size, entry.seq,
                                  checkScratch);
@@ -557,6 +517,21 @@ Processor::checkViolationsNas(const SbEntry &entry)
         if (!loadHasStaleByteFrom(load, entry))
             continue; // every shared byte came from a younger store
 
+        if (lsqModel == LsqModel::AS) {
+            // Section 3.4's remaining conditions: the load obtained a
+            // different value than the store writes, and propagated
+            // it. Until a consumer has used the stale value the load
+            // silently re-executes.
+            uint64_t correct = assembleLoadBytes(
+                load.effAddr, load.memSize, load.seq, nullptr);
+            if (correct == load.loadRaw)
+                continue; // same value: speculation was harmless
+            if (!anyConsumerIssued(load)) {
+                replayLoad(load);
+                continue;
+            }
+        }
+
         ++pstats.memOrderViolations;
         if (__builtin_expect(dprof != nullptr, 0)) {
             dprof->noteViolation(
@@ -577,7 +552,9 @@ Processor::checkViolationsNas(const SbEntry &entry)
                     load.pc, entry.pc);
         trainPredictors(load, entry);
 
-        if (cfg.mdp.recovery == RecoveryModel::Selective) {
+        // Selective recovery is a NAS mechanism; AS squashes.
+        if (lsqModel == LsqModel::NAS &&
+            cfg.mdp.recovery == RecoveryModel::Selective) {
             if (replayDependenceSlice(load)) {
                 // Recovered without discarding unrelated work. Loads
                 // in the replayed slice are memIssued=false now, so
@@ -627,13 +604,9 @@ Processor::resetForReplay(DynInst &inst)
         SbEntry &entry = sb.slot(inst.sbSlot);
         panic_if(entry.seq != inst.seq, "replaying foreign SB entry");
         sb.invalidateForReplay(static_cast<size_t>(inst.sbSlot));
-        unissuedStores.insert(inst.seq);
-        if (entry.barrier)
-            unissuedBarriers.insert(inst.seq);
     }
     if (inst.isLoad()) {
         inst.loadRaw = 0;
-        inst.loadSourceSeq = 0;
         inst.loadByteSource.fill(0);
         inst.speculativeLoad = false;
     }
@@ -649,7 +622,7 @@ Processor::replayDependenceSlice(DynInst &victim)
 
     std::vector<InstSeqNum> work{victim.seq};
     std::set<InstSeqNum> slice;
-    // Not checkScratch: checkViolationsNas is iterating that while it
+    // Not checkScratch: checkViolations is iterating that while it
     // calls here.
     std::vector<ByteSeqIndex::Ref> readers;
 
@@ -689,7 +662,7 @@ Processor::replayDependenceSlice(DynInst &victim)
         // Loads that forwarded any byte from this (stale) store. The
         // loadBytes index narrows the search to loads reading the
         // store's range; the per-byte source test catches partial
-        // forwards the scalar loadSourceSeq used to hide.
+        // forwards.
         if (inst->isStore() && inst->sbSlot >= 0) {
             const SbEntry &se = sb.slot(inst->sbSlot);
             if (se.addrValid && se.dataValid) {
@@ -735,74 +708,6 @@ Processor::replayDependenceSlice(DynInst &victim)
     return true;
 }
 
-void
-Processor::checkStaleLoadsAs(const SbEntry &entry)
-{
-    // Section 3.4's three conditions: the load read memory, obtained a
-    // different value than the store writes, and propagated it. The
-    // loadBytes index yields exactly the memory-issued younger loads
-    // touching the store's range; the byte-wise source test replaces
-    // the scalar loadSourceSeq skip, which wrongly cleared loads that
-    // forwarded only part of their bytes from a younger store.
-    checkScratch.clear();
-    loadBytes.collectYoungerThan(entry.addr, entry.size, entry.seq,
-                                 checkScratch);
-    if (checkScratch.empty())
-        return;
-    std::sort(checkScratch.begin(), checkScratch.end(),
-              [](const ByteSeqIndex::Ref &a, const ByteSeqIndex::Ref &b) {
-                  return a.seq < b.seq;
-              });
-    InstSeqNum visited = 0;
-    for (const ByteSeqIndex::Ref &ref : checkScratch) {
-        if (ref.seq == visited)
-            continue; // one ref per byte; visit each load once
-        visited = ref.seq;
-        if (!slotHolds(ref.slot, ref.seq))
-            continue;
-        DynInst &load = rob.slot(ref.slot);
-        if (!load.isLoad() || !load.memIssued)
-            continue;
-        if (!loadHasStaleByteFrom(load, entry))
-            continue;
-
-        uint64_t correct = assembleLoadBytes(load.effAddr, load.memSize,
-                                             load.seq, nullptr);
-        if (correct == load.loadRaw)
-            continue; // same value: speculation was harmless
-
-        if (anyConsumerIssued(load)) {
-            ++pstats.memOrderViolations;
-            if (__builtin_expect(dprof != nullptr, 0)) {
-                dprof->noteViolation(
-                    entry.pc, load.pc, load.seq - entry.seq,
-                    entry.addr <= load.effAddr &&
-                        entry.addr + entry.size >=
-                            load.effAddr + load.memSize);
-            }
-            CWSIM_TRACE(Recovery, "stale AS load with consumers: "
-                        "seq %llu pc 0x%llx vs store seq %llu "
-                        "pc 0x%llx",
-                        static_cast<unsigned long long>(load.seq),
-                        static_cast<unsigned long long>(load.pc),
-                        static_cast<unsigned long long>(entry.seq),
-                        static_cast<unsigned long long>(entry.pc));
-            frec.record(cycle, check::EventKind::Violation, load.seq,
-                        load.pc, entry.pc);
-            trainPredictors(load, entry);
-            Addr restart_pc = load.pc;
-            TraceIndex restart_idx = load.traceIdx;
-            squashYoungerThan(load.seq - 1, restart_pc, restart_idx,
-                              /*repair_bpred=*/true,
-                              SquashCause::MemOrderViolation);
-            return;
-        }
-
-        // No consumer used the stale value yet: silently re-execute.
-        replayLoad(load);
-    }
-}
-
 // ---------------------------------------------------------------------
 // False-dependence probes (Table 3).
 // ---------------------------------------------------------------------
@@ -817,17 +722,7 @@ Processor::noteFalseDepStall(DynInst &inst)
 
     // Classify using oracle knowledge: a stalled load with no in-flight
     // producing store is delayed by a false dependence.
-    bool true_dep = false;
-    for (unsigned i = 0; oracle && i < inst.oracleProducerCount; ++i) {
-        TraceIndex p = inst.oracleProducers[i];
-        if (p >= inst.traceIdx || p < commitCount)
-            continue;
-        const SbEntry *producer = findSbByTraceIdx(p);
-        if (producer && !producer->executed) {
-            true_dep = true;
-            break;
-        }
-    }
+    bool true_dep = oracleProducerPending(inst);
     inst.fdIsFalse = !true_dep;
     CWSIM_TRACE(LSQ, "load stalled by %s dependence: seq %llu "
                 "pc 0x%llx",

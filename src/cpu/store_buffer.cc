@@ -28,10 +28,13 @@ StoreBuffer::allocate(SbEntry entry)
     InstSeqNum seq = entry.seq;
     TraceIndex trace_idx = entry.traceIdx;
     Synonym syn = entry.producerSynonym;
+    bool barrier = entry.barrier;
     size_t slot_idx = q.pushBack(std::move(entry));
     bySeq.emplace(seq, slot_idx);
     byTrace.emplace(trace_idx, slot_idx);
     addrUnposted.insert(seq);
+    if (barrier)
+        unexecutedBarriers.insert(seq);
     if (syn != invalid_synonym)
         bySynonym[syn].push_back(SlotRef{slot_idx, seq});
     return slot_idx;
@@ -47,6 +50,8 @@ StoreBuffer::unindexEntry(const SbEntry &entry, size_t slot_idx)
     addrUnposted.erase(entry.seq);
     eraseRef(addrInFlight, slot_idx);
     eraseRef(awaitingData, slot_idx);
+    if (entry.barrier)
+        unexecutedBarriers.erase(entry.seq);
     if (entry.producerSynonym != invalid_synonym) {
         auto it = bySynonym.find(entry.producerSynonym);
         if (it != bySynonym.end()) {
@@ -119,17 +124,8 @@ StoreBuffer::setExecuted(size_t slot_idx, Tick now)
              "setExecuted on an incomplete store");
     entry.executed = true;
     entry.executedAt = now;
-}
-
-void
-StoreBuffer::setProducerSynonym(size_t slot_idx, Synonym syn)
-{
-    SbEntry &entry = q.slot(slot_idx);
-    panic_if(entry.producerSynonym != invalid_synonym,
-             "store already tagged with a synonym");
-    entry.producerSynonym = syn;
-    if (syn != invalid_synonym)
-        bySynonym[syn].push_back(SlotRef{slot_idx, entry.seq});
+    if (entry.barrier)
+        unexecutedBarriers.erase(entry.seq);
 }
 
 void
@@ -145,6 +141,8 @@ StoreBuffer::invalidateForReplay(size_t slot_idx)
     entry.dataValid = false;
     entry.executed = false;
     addrUnposted.insert(entry.seq);
+    if (entry.barrier)
+        unexecutedBarriers.insert(entry.seq);
 }
 
 SbEntry *
@@ -159,13 +157,6 @@ StoreBuffer::findSeq(InstSeqNum seq) const
 {
     auto it = bySeq.find(seq);
     return it == bySeq.end() ? nullptr : &q.slot(it->second);
-}
-
-size_t
-StoreBuffer::slotOfSeq(InstSeqNum seq) const
-{
-    auto it = bySeq.find(seq);
-    return it == bySeq.end() ? npos : it->second;
 }
 
 const SbEntry *
@@ -252,6 +243,7 @@ StoreBuffer::selfCheck(Tick now) const
 {
     size_t n_data_bytes = 0;
     size_t n_unposted = 0;
+    size_t n_barriers = 0;
     for (size_t i = 0; i < q.size(); ++i) {
         const SbEntry &e = q.at(i);
         size_t slot_idx = q.slotOf(e);
@@ -315,6 +307,14 @@ StoreBuffer::selfCheck(Tick now) const
             }
         }
 
+        if (e.barrier && !e.executed) {
+            ++n_barriers;
+            if (!unexecutedBarriers.count(e.seq)) {
+                return strfmt("unexecutedBarriers missing seq %llu",
+                              static_cast<unsigned long long>(e.seq));
+            }
+        }
+
         if (e.producerSynonym != invalid_synonym) {
             auto syn_it = bySynonym.find(e.producerSynonym);
             bool found = false;
@@ -338,6 +338,9 @@ StoreBuffer::selfCheck(Tick now) const
     if (addrUnposted.size() != n_unposted)
         return strfmt("addrUnposted has %zu entries, expected %zu",
                       addrUnposted.size(), n_unposted);
+    if (unexecutedBarriers.size() != n_barriers)
+        return strfmt("unexecutedBarriers has %zu entries, expected %zu",
+                      unexecutedBarriers.size(), n_barriers);
     if (dataBytes.size() != n_data_bytes)
         return strfmt("dataBytes indexes %zu bytes, expected %zu",
                       dataBytes.size(), n_data_bytes);

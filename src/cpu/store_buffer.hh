@@ -11,6 +11,13 @@
  * into its entry as the operands arrive; `addrVisibleAt` models the
  * address-based scheduler's latency before loads can see the address.
  *
+ * The store buffer is the core's one record of store ordering: both
+ * LSQ models ask it which older stores a load must still respect.
+ * A NAS store posts its address and data together when it executes,
+ * so under NAS the unposted set below is exactly the unexecuted
+ * stores; an AS store posts its address early, visible asLatency
+ * cycles later.
+ *
  * StoreBuffer is an *indexed* FIFO: alongside the age-ordered circular
  * queue it maintains
  *   - O(1) seq -> slot and traceIdx -> slot lookup maps,
@@ -18,15 +25,18 @@
  *     forwarding lookup: youngest older store writing a byte),
  *   - an age-ordered set of stores whose address is still unknown and
  *     a small list of stores whose posted address is not yet visible
- *     (the address scheduler's ambiguity test),
+ *     (the ambiguity test of the NO/SEL hold and the AS scheduler),
  *   - a list of address-only stores (posted address, data pending —
- *     the scheduler's known-true-dependence test), and
+ *     the AS scheduler's known-true-dependence test),
+ *   - an age-ordered set of unexecuted barrier stores (the STORE
+ *     gate), and
  *   - per-synonym producer lists (the SYNC dispatch lookup).
- * Entry fields that feed an index (addr/data/executed) may only be
- * written through the mutating API below; bookkeeping flags
- * (committed, releasing, released, barrier) may be poked directly via
- * slot(). selfCheck() rebuilds every index from the queue and is run
- * at check level 2.
+ * Entry fields that feed an index (addr/data/executed, and the
+ * barrier/producerSynonym predictions fixed at allocate) may only be
+ * written through the mutating API below; the release flags
+ * (committed, releasing, released) may be poked directly via slot().
+ * selfCheck() rebuilds every index from the queue and is run at check
+ * level 2.
  */
 
 #ifndef CWSIM_CPU_STORE_BUFFER_HH
@@ -113,15 +123,19 @@ class StoreBuffer
     SbEntry &at(size_t pos) { return q.at(pos); }
     const SbEntry &at(size_t pos) const { return q.at(pos); }
     /**
-     * Direct slot access. Writing addr/data/valid/executed through
-     * this would corrupt the indexes — use the mutating API; only
-     * commit/release/barrier/synonym-free bookkeeping is fair game.
+     * Direct slot access. Writing an indexed field through this would
+     * corrupt the indexes — use the mutating API; only the commit and
+     * release flags are fair game.
      */
     SbEntry &slot(size_t idx) { return q.slot(idx); }
     const SbEntry &slot(size_t idx) const { return q.slot(idx); }
 
     // ---- lifecycle ---------------------------------------------------
-    /** Dispatch a store: append and index. @return its stable slot. */
+    /**
+     * Dispatch a store: append and index. The entry carries its
+     * dispatch-time predictions (barrier, producerSynonym).
+     * @return its stable slot.
+     */
     size_t allocate(SbEntry entry);
 
     /** Retire the (released) head entry and unindex it. */
@@ -144,9 +158,6 @@ class StoreBuffer
     /** Mark address+data complete (the store has "issued"). */
     void setExecuted(size_t slot_idx, Tick now);
 
-    /** SYNC: tag a store as producing @p syn (dispatch time). */
-    void setProducerSynonym(size_t slot_idx, Synonym syn);
-
     /**
      * Selective replay: forget address, data and executed state; the
      * store will re-post both.
@@ -157,18 +168,24 @@ class StoreBuffer
     /** O(1) lookup by sequence number (nullptr if not resident). */
     SbEntry *findSeq(InstSeqNum seq);
     const SbEntry *findSeq(InstSeqNum seq) const;
-    /** Slot of @p seq; npos when not resident. */
-    static constexpr size_t npos = ~size_t(0);
-    size_t slotOfSeq(InstSeqNum seq) const;
 
     /** O(1) lookup by trace index (nullptr if not resident). */
     const SbEntry *findTraceIdx(TraceIndex idx) const;
 
     /**
-     * Address-scheduler ambiguity: does a store older than @p seq,
-     * not yet released, have no visible address at @p now?
+     * Ambiguity: does a store older than @p seq, not yet released,
+     * have no visible address at @p now? Under NAS: is any older
+     * store unexecuted?
      */
     bool ambiguousOlderThan(InstSeqNum seq, Tick now);
+
+    /** STORE: is an unexecuted barrier store older than @p seq? */
+    bool
+    barrierOlderThan(InstSeqNum seq) const
+    {
+        return !unexecutedBarriers.empty() &&
+               *unexecutedBarriers.begin() < seq;
+    }
 
     /**
      * Address-scheduler dependence: a store older than @p seq whose
@@ -244,6 +261,9 @@ class StoreBuffer
 
     /** Entries with a posted address awaiting data (AS two-phase). */
     ArenaVec<SlotRef> awaitingData;
+
+    /** Seqs of resident unexecuted barrier entries, age-ordered. */
+    ArenaSet<InstSeqNum> unexecutedBarriers;
 
     /** SYNC: producer entries per synonym, in allocation (age) order. */
     ArenaMap<Synonym, ArenaVec<SlotRef>> bySynonym;

@@ -22,15 +22,7 @@ bool
 getU64(const Fields &fields, const std::string &key, uint64_t &out)
 {
     auto it = fields.find(key);
-    if (it == fields.end() || it->second.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    return it != fields.end() && parseUnsigned(it->second, out);
 }
 
 bool
@@ -62,13 +54,7 @@ getPc(const Fields &fields, const std::string &key, Addr &out)
     const std::string &s = it->second;
     if (s.size() < 3 || s[0] != '0' || (s[1] != 'x' && s[1] != 'X'))
         return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str() + 2, &end, 16);
-    if (errno != 0 || end == s.c_str() + 2 || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    return parseUnsigned(std::string_view(s).substr(2), out, 16);
 }
 
 /** Decode the compact "bucket:count;bucket:count" histogram field. */
@@ -90,20 +76,11 @@ parseDist(const std::string &s,
             s.substr(colon + 1, (semi == std::string::npos
                                      ? s.size()
                                      : semi) - colon - 1);
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long bucket =
-            std::strtoull(bucket_text.c_str(), &end, 10);
-        if (errno != 0 || end == bucket_text.c_str() || *end != '\0' ||
-            bucket >= obs::dep_dist_buckets) {
-            return false;
-        }
-        errno = 0;
-        end = nullptr;
-        unsigned long long count =
-            std::strtoull(count_text.c_str(), &end, 10);
-        if (errno != 0 || end == count_text.c_str() || *end != '\0' ||
-            count == 0) {
+        uint64_t bucket = 0;
+        uint64_t count = 0;
+        if (!parseUnsigned(bucket_text, bucket, 10,
+                           obs::dep_dist_buckets - 1) ||
+            !parseUnsigned(count_text, count) || count == 0) {
             return false;
         }
         if (out[bucket] != 0)

@@ -2,9 +2,11 @@
 
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "base/logging.hh"
 #include "base/str.hh"
@@ -17,18 +19,18 @@ namespace
 
 using Setter = std::function<void(SimConfig &, const std::string &)>;
 
+/** Decimal, or hex after a 0x prefix; at most @p max (the field's). */
 uint64_t
-parseU64(const std::string &key, const std::string &value)
+parseU64(const std::string &key, const std::string &value, uint64_t max)
 {
-    size_t pos = 0;
+    bool hex = value.size() > 2 && value[0] == '0' &&
+               (value[1] == 'x' || value[1] == 'X');
     uint64_t v = 0;
-    try {
-        v = std::stoull(value, &pos, 0);
-    } catch (...) {
-        pos = 0;
-    }
-    fatal_if(pos != value.size(), "config: bad number '%s' for %s",
-             value.c_str(), key.c_str());
+    fatal_if(!parseUnsigned(hex ? std::string_view(value).substr(2)
+                                : std::string_view(value),
+                            v, hex ? 16 : 10, max),
+             "config: bad number '%s' for %s", value.c_str(),
+             key.c_str());
     return v;
 }
 
@@ -90,7 +92,9 @@ parseRecovery(const std::string &value)
 #define U64_FIELD(key, expr)                                            \
     {                                                                   \
         key, [](SimConfig &c, const std::string &v) {                  \
-            expr = parseU64(key, v);                                    \
+            using Field = std::remove_reference_t<decltype(expr)>;      \
+            expr = static_cast<Field>(parseU64(                         \
+                key, v, std::numeric_limits<Field>::max()));            \
         }                                                               \
     }
 

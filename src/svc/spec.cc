@@ -1,8 +1,6 @@
 #include "svc/spec.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
 #include "base/sim_error.hh"
 #include "base/str.hh"
@@ -23,17 +21,6 @@ field(const std::map<std::string, std::string> &fields,
 {
     auto it = fields.find(key);
     return it == fields.end() ? std::string() : it->second;
-}
-
-bool
-parseU64(const std::string &text, uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return *end == '\0' && errno != ERANGE;
 }
 
 /**
@@ -174,7 +161,7 @@ parseSweepSpec(const std::map<std::string, std::string> &fields,
 
     std::string scaleText = field(fields, "scale");
     if (!scaleText.empty()) {
-        if (!parseU64(scaleText, spec.scale) || spec.scale < 1000) {
+        if (!parseUnsigned(scaleText, spec.scale) || spec.scale < 1000) {
             err = strfmt("bad scale '%s' (minimum 1000)",
                          scaleText.c_str());
             return false;
@@ -182,7 +169,7 @@ parseSweepSpec(const std::map<std::string, std::string> &fields,
     }
     std::string intervalText = field(fields, "interval");
     if (!intervalText.empty() &&
-        !parseU64(intervalText, spec.intervalCycles)) {
+        !parseUnsigned(intervalText, spec.intervalCycles)) {
         err = strfmt("bad interval '%s'", intervalText.c_str());
         return false;
     }

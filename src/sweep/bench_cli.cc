@@ -98,13 +98,12 @@ printUsage(const char *prog, std::FILE *out)
 uint64_t
 parseCount(const char *flag, const std::string &value, uint64_t min)
 {
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    fatal_if(value.empty() || *end != '\0' || errno == ERANGE,
+    uint64_t v = 0;
+    fatal_if(!parseUnsigned(value, v),
              "%s: not an unsigned integer: '%s'", flag, value.c_str());
     fatal_if(v < min, "%s: must be >= %llu (got %llu)", flag,
-             static_cast<unsigned long long>(min), v);
+             static_cast<unsigned long long>(min),
+             static_cast<unsigned long long>(v));
     return v;
 }
 

@@ -1,7 +1,6 @@
 #include "sweep/report.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -326,6 +325,14 @@ struct HotEdge
     uint64_t syncs = 0;
 };
 
+/** A "0x<hex>" PC. */
+bool
+parsePc(std::string_view text, Addr &out)
+{
+    return text.size() > 2 && text[0] == '0' && text[1] == 'x' &&
+           parseUnsigned(text.substr(2), out, 16);
+}
+
 /**
  * Decode a dep_hot_edges field ("0xS-0xL:viol:syncs;..."). Entries
  * that fail to parse are skipped — a record written by a future
@@ -336,26 +343,19 @@ parseHotEdges(const std::string &text)
 {
     std::vector<HotEdge> out;
     for (const std::string &item : split(text, ';')) {
-        if (item.empty())
+        std::vector<std::string> f = split(item, ':');
+        if (f.size() != 3)
             continue;
+        std::string_view pcs = f[0];
+        size_t dash = pcs.find('-');
         HotEdge e;
-        const char *s = item.c_str();
-        char *end = nullptr;
-        e.storePc = std::strtoull(s, &end, 16);
-        if (end == s || *end != '-')
+        if (dash == std::string_view::npos ||
+            !parsePc(pcs.substr(0, dash), e.storePc) ||
+            !parsePc(pcs.substr(dash + 1), e.loadPc) ||
+            !parseUnsigned(f[1], e.violations) ||
+            !parseUnsigned(f[2], e.syncs)) {
             continue;
-        s = end + 1;
-        e.loadPc = std::strtoull(s, &end, 16);
-        if (end == s || *end != ':')
-            continue;
-        s = end + 1;
-        e.violations = std::strtoull(s, &end, 10);
-        if (end == s || *end != ':')
-            continue;
-        s = end + 1;
-        e.syncs = std::strtoull(s, &end, 10);
-        if (end == s || *end != '\0')
-            continue;
+        }
         out.push_back(e);
     }
     return out;
@@ -545,18 +545,12 @@ loadRunRecords(const std::string &path, std::vector<ReportRecord> &out,
             continue;
         }
         auto scale_it = fields.find("scale");
-        if (scale_it != fields.end()) {
-            errno = 0;
-            char *end = nullptr;
-            rec.scale =
-                std::strtoull(scale_it->second.c_str(), &end, 10);
-            if (end == scale_it->second.c_str() || *end != '\0' ||
-                errno == ERANGE) {
-                // A present-but-garbled scale is a malformed record,
-                // not a silent scale-0 row that skews the summary.
-                ++bad;
-                continue;
-            }
+        if (scale_it != fields.end() &&
+            !parseUnsigned(scale_it->second, rec.scale)) {
+            // A present-but-garbled scale is a malformed record, not
+            // a silent scale-0 row that skews the summary.
+            ++bad;
+            continue;
         }
         auto fp_it = fields.find("fp");
         if (fp_it != fields.end())

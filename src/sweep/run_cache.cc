@@ -45,12 +45,7 @@ getU64(const std::map<std::string, std::string> &fields,
        const char *key, uint64_t &out)
 {
     auto it = fields.find(key);
-    if (it == fields.end() || it->second.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(it->second.c_str(), &end, 10);
-    return *end == '\0' && errno != ERANGE;
+    return it != fields.end() && parseUnsigned(it->second, out);
 }
 
 bool

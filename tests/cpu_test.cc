@@ -714,6 +714,70 @@ TEST(StoreBufferEntry, OverlapAtTopOfAddressSpace)
     EXPECT_FALSE(e.coversByte(~Addr(0) - 4));
 }
 
+TEST(StoreBufferIndex, BarrierSetFollowsEveryLifecycleStep)
+{
+    // The STORE gate asks the store buffer for the oldest unexecuted
+    // barrier store. Every mutation keeps that set in step with the
+    // entries, and selfCheck() rebuilds it and compares.
+    StoreBuffer sb(8);
+    auto dispatch = [&sb](InstSeqNum seq, bool barrier) {
+        SbEntry e;
+        e.seq = seq;
+        e.traceIdx = seq;
+        e.pc = 0x1000 + 4 * seq;
+        e.size = 4;
+        e.barrier = barrier;
+        return sb.allocate(e);
+    };
+    auto execute = [&sb](size_t slot, Addr addr, Tick now) {
+        sb.postAddr(slot, addr, now, now);
+        sb.postData(slot, 0xab);
+        sb.setExecuted(slot, now);
+    };
+
+    size_t s10 = dispatch(10, true);
+    size_t s20 = dispatch(20, false);
+    dispatch(30, true);
+    EXPECT_EQ(sb.selfCheck(0), "");
+    EXPECT_FALSE(sb.barrierOlderThan(10));
+    EXPECT_TRUE(sb.barrierOlderThan(11));
+
+    execute(s10, 0x100, 1);
+    EXPECT_EQ(sb.selfCheck(1), "");
+    EXPECT_FALSE(sb.barrierOlderThan(30));
+    EXPECT_TRUE(sb.barrierOlderThan(31));
+
+    sb.invalidateForReplay(s10); // a selective replay re-arms it
+    EXPECT_EQ(sb.selfCheck(2), "");
+    EXPECT_TRUE(sb.barrierOlderThan(11));
+
+    execute(s10, 0x100, 3);
+    execute(s20, 0x200, 3);
+    sb.squashYoungerThan(20); // drops the unexecuted barrier 30
+    EXPECT_EQ(sb.selfCheck(4), "");
+    EXPECT_FALSE(sb.barrierOlderThan(100));
+
+    size_t s40 = dispatch(40, true);
+    EXPECT_TRUE(sb.barrierOlderThan(41));
+    for (size_t slot : {s10, s20}) {
+        sb.slot(slot).committed = true;
+        sb.slot(slot).released = true;
+        sb.popFront();
+        EXPECT_EQ(sb.selfCheck(5), "");
+    }
+    EXPECT_EQ(sb.size(), 1u);
+    EXPECT_TRUE(sb.barrierOlderThan(41));
+    execute(s40, 0x400, 6);
+    EXPECT_EQ(sb.selfCheck(6), "");
+    EXPECT_FALSE(sb.barrierOlderThan(100));
+
+    // A barrier flag written behind the buffer's back is caught.
+    size_t s50 = dispatch(50, false);
+    sb.slot(s50).barrier = true;
+    EXPECT_NE(sb.selfCheck(7).find("unexecutedBarriers"),
+              std::string::npos);
+}
+
 TEST(PipelineTest, StoreBufferPressureStallsButStaysCorrect)
 {
     // A store burst larger than the store buffer forces dispatch

@@ -313,7 +313,8 @@ TEST(DepProfileFile, RejectsMalformedDistHistograms)
     EXPECT_TRUE(ok.parseLines(block("2:1;")));
 
     for (const char *bad :
-         {"2", "2:", ":1", "2:0", "99:1", "2:1;2:1", "2:x", "x:1"}) {
+         {"2", "2:", ":1", "2:0", "99:1", "2:1;2:1", "2:x", "x:1",
+          "2:-1", "+2:1", "2: 1"}) {
         DepProfileFile file;
         EXPECT_FALSE(file.parseLines(block(bad))) << bad;
     }

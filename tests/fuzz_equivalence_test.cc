@@ -286,6 +286,9 @@ TEST_P(FuzzEquivalence, PartialOverlapStressAllConfigs)
         {LsqModel::NAS, SpecPolicy::Oracle},
         {LsqModel::AS, SpecPolicy::No},
         {LsqModel::AS, SpecPolicy::Naive},
+        // Not a paper config, but daemon-churn runs it: an AS gate
+        // with violation detection off.
+        {LsqModel::AS, SpecPolicy::Oracle},
     };
 
     for (auto [model, policy] : configs) {

@@ -141,7 +141,11 @@ TEST(IsolateContainment, FaultStormAcrossTheSuite)
     opts.useCache = false;
     opts.isolate = true;
     opts.timeoutSec = 2.0;
+#ifndef CWSIM_ASAN
+    // Under ASan any RLIMIT_AS cap kills every child at startup (see
+    // the top of this file); the crash and hang cases need none.
     opts.memLimitMb = 2048;
+#endif
     opts.retries = 0; // injected faults are deterministic; don't retry
     auto results = SweepEngine(runner, opts).run(plan);
 

@@ -518,6 +518,15 @@ TEST(ConfigParseDeathTest, BadNumber)
     SimConfig cfg;
     EXPECT_EXIT(applyConfigOption(cfg, "core.windowSize=grape"),
                 ::testing::ExitedWithCode(1), "bad number");
+    // A sign is not a digit ("-1" must not wrap to 2^64-1), and a
+    // value too large for its (32-bit) field is not truncated.
+    EXPECT_EXIT(applyConfigOption(cfg, "core.windowSize=-1"),
+                ::testing::ExitedWithCode(1), "bad number");
+    EXPECT_EXIT(applyConfigOption(cfg, "core.windowSize=4294967304"),
+                ::testing::ExitedWithCode(1), "bad number");
+    // A leading zero does not switch to octal.
+    applyConfigOption(cfg, "core.windowSize=010");
+    EXPECT_EQ(cfg.core.windowSize, 10u);
 }
 
 TEST(ConfigParseDeathTest, MissingEquals)

@@ -142,6 +142,14 @@ TEST(SvcSpec, RejectsBadRequestsWithoutDying)
         {{"id", "s"}, {"scale", "12"}}, spec, err));
     EXPECT_NE(err.find("minimum 1000"), std::string::npos);
 
+    // Signed numbers are malformed, not wrapped to 2^64-1.
+    EXPECT_FALSE(svc::parseSweepSpec(
+        {{"id", "s"}, {"scale", "-1"}}, spec, err));
+    EXPECT_NE(err.find("bad scale"), std::string::npos);
+    EXPECT_FALSE(svc::parseSweepSpec(
+        {{"id", "s"}, {"interval", "-5"}}, spec, err));
+    EXPECT_NE(err.find("bad interval"), std::string::npos);
+
     EXPECT_FALSE(svc::parseSweepSpec(
         {{"id", "s"}, {"workloads", "999.nope"}}, spec, err));
     EXPECT_NE(err.find("unknown workload"), std::string::npos);

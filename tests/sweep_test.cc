@@ -523,6 +523,13 @@ TEST(SweepRecord, V1RecordsStayReadable)
     // commitWidth == 0 ("unknown"), never zero-loss.
     EXPECT_FALSE(parsed.hasCpiStack());
 
+    // A signed counter is malformed, not 2^64-1.
+    fields["cycles"] = "-1";
+    EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
+    fields["cycles"] = "+4321";
+    EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
+    fields["cycles"] = "4321";
+
     // Unknown future versions are still rejected outright.
     fields["v"] = "9";
     EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
@@ -958,6 +965,22 @@ TEST(BenchCliTest, ParsesSharedFlags)
     EXPECT_EQ(opts.jsonPath, "out.jsonl");
     EXPECT_FALSE(opts.cache);
     EXPECT_EQ(opts.cacheDir, "cdir");
+}
+
+TEST(BenchCliTest, RejectsSignedCounts)
+{
+    // "--scale -1" used to wrap to 2^64-1 and hang the sweep; a sign
+    // or leading space is no longer skipped.
+    for (const char *bad : {"-1", "+4000", " 4000"}) {
+        for (const char *flag : {"--scale", "--jobs"}) {
+            const char *argv[] = {"bench", flag, bad};
+            EXPECT_EXIT(sweep::parseBenchArgs(
+                            3, const_cast<char **>(argv)),
+                        ::testing::ExitedWithCode(1),
+                        "not an unsigned integer")
+                << flag << " '" << bad << "'";
+        }
+    }
 }
 
 TEST(BenchCliTest, ParsesTracingFlags)

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "base/jsonl.hh"
+#include "base/str.hh"
 #include "sweep/run_cache.hh"
 #include "svc/client.hh"
 #include "svc/protocol.hh"
@@ -244,20 +245,19 @@ main(int argc, char **argv)
                              field(ev, "queued").c_str());
             }
         } else if (kind == "run") {
-            uint64_t seq =
-                std::strtoull(field(ev, "seq").c_str(), nullptr, 10);
-            if (records.size() <= seq)
-                records.resize(seq + 1);
             // Rebuild the canonical record line (envelope stripped)
             // so a --json export is byte-compatible with the bench
             // CLI's: runRecordParse ignores the envelope fields.
             cwsim::harness::RunResult r;
-            uint64_t fp = 0;
-            std::sscanf(field(ev, "fp").c_str(), "%llx",
-                        reinterpret_cast<unsigned long long *>(&fp));
-            uint64_t recScale = std::strtoull(
-                field(ev, "scale").c_str(), nullptr, 10);
-            if (cwsim::sweep::runRecordParse(ev, r)) {
+            uint64_t seq = 0, total = 0, fp = 0, recScale = 0;
+            if (cwsim::parseUnsigned(field(ev, "seq"), seq) &&
+                cwsim::parseUnsigned(field(ev, "total"), total) &&
+                seq < total &&
+                cwsim::parseUnsigned(field(ev, "fp"), fp, 16) &&
+                cwsim::parseUnsigned(field(ev, "scale"), recScale) &&
+                cwsim::sweep::runRecordParse(ev, r)) {
+                if (records.size() <= seq)
+                    records.resize(seq + 1);
                 records[seq] =
                     cwsim::sweep::runRecordLine(r, fp, recScale);
                 if (!quiet) {
@@ -280,12 +280,14 @@ main(int argc, char **argv)
             if (intervalOut.is_open())
                 intervalOut << client.lastLine() << '\n';
         } else if (kind == "done") {
-            runs = std::strtoull(field(ev, "runs").c_str(), nullptr,
-                                 10);
-            failed = std::strtoull(field(ev, "failed").c_str(),
-                                   nullptr, 10);
-            injected = std::strtoull(field(ev, "injected").c_str(),
-                                     nullptr, 10);
+            if (!cwsim::parseUnsigned(field(ev, "runs"), runs) ||
+                !cwsim::parseUnsigned(field(ev, "failed"), failed) ||
+                !cwsim::parseUnsigned(field(ev, "injected"),
+                                      injected)) {
+                std::fprintf(stderr,
+                             "cwsim-client: unparseable done event\n");
+                return 2;
+            }
             done = true;
         } else if (kind == "shutdown") {
             std::fprintf(stderr,

@@ -267,9 +267,11 @@ fetchCorpus(const std::string &socketPath,
         if (fp != ev.end())
             rec.fp = fp->second;
         auto scale = ev.find("scale");
-        if (scale != ev.end())
-            rec.scale = std::strtoull(scale->second.c_str(), nullptr,
-                                      10);
+        if (scale != ev.end() &&
+            !cwsim::parseUnsigned(scale->second, rec.scale)) {
+            ++rejected;
+            continue;
+        }
         out.push_back(std::move(rec));
     }
     if (rejected > 0) {
@@ -329,14 +331,14 @@ main(int argc, char **argv)
             out_path = argv[++i];
         } else if (std::strcmp(arg, "--top") == 0 && i + 1 < argc) {
             const char *value = argv[++i];
-            char *end = nullptr;
-            top = std::strtoull(value, &end, 10);
-            if (end == value || *end != '\0') {
+            uint64_t parsed = 0;
+            if (!cwsim::parseUnsigned(value, parsed, 10, SIZE_MAX)) {
                 std::fprintf(stderr,
                              "cwsim-report: --top wants a number, "
                              "got '%s'\n", value);
                 return usage(argv[0]);
             }
+            top = static_cast<size_t>(parsed);
         } else if (std::strcmp(arg, "--depprof") == 0 &&
                    i + 1 < argc) {
             depprof_path = argv[++i];

@@ -79,10 +79,8 @@ usage(const char *argv0, std::FILE *out)
 uint64_t
 parseU64(const char *flag, const char *text)
 {
-    errno = 0;
-    char *end = nullptr;
-    uint64_t v = std::strtoull(text, &end, 10);
-    if (*end != '\0' || errno == ERANGE) {
+    uint64_t v = 0;
+    if (!cwsim::parseUnsigned(text, v)) {
         std::fprintf(stderr, "cwsimd: %s: not a number: '%s'\n", flag,
                      text);
         std::exit(2);
