@@ -19,20 +19,6 @@
 namespace cwsim
 {
 
-/**
- * Why loadMayIssue() most recently refused a load. Pure observability:
- * the commit-slot accounting (obs/cpi_stack.hh) reads the head's gate
- * cause to classify residual slots; no issue decision depends on it.
- */
-enum class GateBlock : uint8_t
-{
-    None,      ///< Not gate-blocked (or not probed yet).
-    Ambiguous, ///< An older store's address is not visible yet.
-    TrueDep,   ///< A known producing store has not supplied its data.
-    Barrier,   ///< STORE: held behind an unissued store barrier.
-    Sync,      ///< SYNC: waiting on a synonym-predicted store.
-};
-
 struct DynInst
 {
     // Identity -----------------------------------------------------------
@@ -114,9 +100,6 @@ struct DynInst
      */
     std::array<TraceIndex, 8> oracleProducers{};
     uint8_t oracleProducerCount = 0;
-
-    /** Last loadMayIssue() verdict; see GateBlock. */
-    GateBlock gateBlock = GateBlock::None;
 
     // False-dependence probe (Table 3) ---------------------------------
     bool fdStallStarted = false;

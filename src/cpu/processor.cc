@@ -82,7 +82,9 @@ Processor::Processor(const SimConfig &cfg, const Program &program,
       decoder(funcMem, /*tolerate_invalid=*/true), mdpTable(cfg.mdp),
       oracle(oracle), rob(cfg.core.windowSize),
       sb(cfg.core.storeBufferSize), lsqCount(0),
-      pendingBits(cfg.core.windowSize),
+      readyBits(cfg.core.windowSize), parkedBits(cfg.core.windowSize),
+      unpostedWaiters(cfg.core.windowSize),
+      storeWaiters(cfg.core.storeBufferSize),
       consumers(cfg.core.windowSize), fetchPc(0),
       fetchHalted(false), fetchStalledOnSeq(0), memPortsLeft(0),
       lsqInPortsLeft(0), cycle(0), nextSeq(1), nextFetchTraceIdx(0),
@@ -419,6 +421,9 @@ Processor::releaseStores()
                 if (SbEntry *e = sb.findSeq(seq)) {
                     e->releasing = false;
                     e->released = true;
+                    // Released before its address became visible: a
+                    // load held by that address may go.
+                    wakeStoreWaiters(*e);
                 }
             });
         if (!accepted)
@@ -536,8 +541,6 @@ Processor::doDispatch()
 
         if (inst.si.isHalt())
             inst.done = true;
-        else
-            pendingBits.set(rob_slot);
 
         if (inst.isStore()) {
             SbEntry entry;
@@ -550,6 +553,7 @@ Processor::doDispatch()
             if (policy == SpecPolicy::SpecSync)
                 entry.producerSynonym = mdpTable.synonymOf(inst.pc);
             inst.sbSlot = static_cast<int>(sb.allocate(entry));
+            storeWaiters[inst.sbSlot].clear();
 
             // Fault injection: AS delays address posting directly in
             // postStoreAddr; for single-phase NAS stores the closest
@@ -626,6 +630,8 @@ Processor::doDispatch()
 
         if (inst.si.isMem())
             ++lsqCount;
+        if (issueReady(inst))
+            readyBits.set(rob_slot);
 
         fetchQueue.pop_front();
         --budget;
@@ -828,16 +834,23 @@ Processor::broadcastResult(const DynInst &producer)
             continue;
         list[keep++] = ref;
         DynInst &inst = rob.slot(ref.slot);
+        bool arrived = false;
         if (inst.src1.hasProducer && !inst.src1.ready &&
             inst.src1.producer == producer.seq) {
             inst.src1.ready = true;
             inst.src1.value = producer.result;
+            arrived = true;
         }
         if (inst.src2.hasProducer && !inst.src2.ready &&
             inst.src2.producer == producer.seq) {
             inst.src2.ready = true;
             inst.src2.value = producer.result;
+            arrived = true;
         }
+        // An arrival can make the consumer ready; a parked load whose
+        // base register was recalled re-gates with its new address.
+        if (arrived && issueReady(inst))
+            markReady(ref.slot);
     }
     list.resize(keep);
 }
@@ -908,7 +921,7 @@ Processor::completeInst(DynInst &inst)
 {
     inst.done = true;
     inst.completedAt = cycle;
-    pendingBits.clear(rob.slotOf(inst));
+    readyBits.clear(rob.slotOf(inst));
     if (inst.si.writesReg())
         broadcastResult(inst);
     if (inst.si.isControl()) {
@@ -996,7 +1009,10 @@ Processor::squashYoungerThan(InstSeqNum keep_seq, Addr restart_pc,
     unsigned squashed = 0;
     while (!rob.empty() && rob.back().seq > keep_seq) {
         DynInst &inst = rob.back();
-        pendingBits.clear(rob.slotOf(inst));
+        size_t slot = rob.slotOf(inst);
+        readyBits.clear(slot);
+        parkedBits.clear(slot);
+        unpostedWaiters.clear(slot);
         if (inst.isLoad())
             deindexLoadBytes(inst);
         if (inst.renamedDest) {
@@ -1168,13 +1184,16 @@ Processor::classifyResidual() const
                      elapsed < Tick{cfg.mdp.asLatency})
                 ? CpiCause::AddrSched
                 : CpiCause::CacheMiss;
-        } else if (!head.src1.ready) {
+        } else if (!head.src1.ready || head.dispatchedAt == cycle) {
+            // Waiting for its base register, or dispatched after this
+            // cycle's issue phase and not yet gated.
             cause = CpiCause::Exec;
         } else {
-            // Address-ready but unissued: blame the policy gate that
-            // refused it this cycle (doIssue visits the head before
-            // ports run out, so gateBlock is fresh).
-            switch (head.gateBlock) {
+            // Address-ready but unissued: blame the policy gate.
+            // doIssue visited the head this cycle or left it parked,
+            // and nothing since has changed an older store, so asking
+            // again gives the answer the head got.
+            switch (loadMayIssue(head).block) {
               case GateBlock::Barrier:
                 cause = CpiCause::StoreBarrier;
                 break;

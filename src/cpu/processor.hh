@@ -22,7 +22,9 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <set>
 #include <vector>
 
@@ -65,6 +67,20 @@ enum class SquashCause : uint8_t
 };
 
 const char *toString(SquashCause cause);
+
+/**
+ * Why the load gate refuses a load. The commit-slot accounting
+ * (obs/cpi_stack.hh) asks the gate about a stalled window head to
+ * classify residual slots.
+ */
+enum class GateBlock : uint8_t
+{
+    None,      ///< Not gate-blocked: the load may issue.
+    Ambiguous, ///< An older store's address is not visible yet.
+    TrueDep,   ///< A known producing store has not supplied its data.
+    Barrier,   ///< STORE: held behind an unissued store barrier.
+    Sync,      ///< SYNC: waiting on a synonym-predicted store.
+};
 
 /** Aggregate statistics for one Processor run. */
 struct ProcStats
@@ -173,6 +189,8 @@ class Processor
 
     Tick curCycle() const { return cycle; }
     uint64_t totalCommits() const { return commitCount; }
+    /** Instructions the issue walk has visited (host-cost probe). */
+    uint64_t issueVisits() const { return issueVisitCount; }
 
     /**
      * Render the machine's current state (cycle, window, store buffer,
@@ -190,19 +208,55 @@ class Processor
     void doFetch();
 
     // ---- issue helpers (processor_issue.cc) -------------------------
-    /** One pending instruction's issue attempt (the doIssue body). */
+    /** One ready instruction's issue attempt (the doIssue body). */
     void tryIssue(DynInst &inst, unsigned &slots);
+
+    /**
+     * The load gate's answer, and for a refusal the park key: the one
+     * event that can change it. With neither a store nor a cycle, the
+     * load waits for the oldest unposted store to post its address.
+     */
+    struct GateVerdict
+    {
+        GateBlock block = GateBlock::None;
+        /** Wake when this store executes or is released. */
+        const SbEntry *store = nullptr;
+        /** Wake at this cycle (0: no timed wake). */
+        Tick until = 0;
+    };
     /**
      * The load gate of both LSQ models: may this load access memory
-     * this cycle? Records why not in inst.gateBlock.
+     * this cycle, and if not, what is it waiting for?
      */
-    bool loadMayIssue(DynInst &inst);
-    bool gateSync(DynInst &inst);
+    GateVerdict loadMayIssue(const DynInst &inst) const;
+    GateVerdict gateSync(const DynInst &inst) const;
     /**
-     * ORACLE / Table 3 probe: does a store that produces bytes of
-     * @p load (per the pre-pass) sit unexecuted in the store buffer?
+     * ORACLE / Table 3 probe: a store that produces bytes of @p load
+     * (per the pre-pass) and sits unexecuted in the store buffer, or
+     * nullptr.
      */
-    bool oracleProducerPending(const DynInst &load) const;
+    const SbEntry *oracleProducerPending(const DynInst &load) const;
+
+    /**
+     * Could visiting @p inst act, parking aside? A plain instruction
+     * or NAS store: unissued with both operands. An AS store: an
+     * unposted address with src1, or unposted data with src2. A load:
+     * not memory-issued, with src1.
+     */
+    bool issueReady(const DynInst &inst) const;
+    /** Put the instruction in ROB slot @p slot in the ready set. */
+    void markReady(size_t slot);
+    /** Move refused load @p inst from the ready set to @p gate's key. */
+    void park(DynInst &inst, const GateVerdict &gate);
+    /** Wake the load @p seq in ROB slot @p slot if it is still parked. */
+    void wakeParked(size_t slot, InstSeqNum seq);
+    /** @p entry executed, was released or un-posted: wake its waiters. */
+    void wakeStoreWaiters(const SbEntry &entry);
+    /**
+     * A store posted its address: wake the unposted-address waiters
+     * that no unposted store precedes any more.
+     */
+    void wakeUnpostedWaiters();
 
     void executeLoad(DynInst &inst);
     void executeStoreNas(DynInst &inst);
@@ -362,23 +416,66 @@ class Processor
     };
     std::array<RegMapEntry, num_arch_regs> regMap;
 
+    /** A window instruction by slot and seq, validated at use. */
+    struct ConsumerRef
+    {
+        size_t slot = 0;
+        InstSeqNum seq = 0;
+    };
+
     /**
      * The instruction window: DynInst records in program order, each
      * at a stable slot while resident. Index structures (consumer
-     * lists, loadBytes, pendingBits) refer to instructions by slot.
+     * lists, loadBytes, the ready set) refer to instructions by slot.
      */
     CircularQueue<DynInst> rob;
     StoreBuffer sb;
     unsigned lsqCount; ///< Memory instructions resident in the window.
 
     /**
-     * Stable ROB slots doIssue must still visit: resident instructions
-     * that are not done, excluding issued plain instructions (they
-     * complete through events) and memory-issued loads. Maintained
-     * incrementally at dispatch / issue / completion / replay / squash;
-     * heavyInvariants() rebuilds it from the window and compares.
+     * The ready set: stable ROB slots doIssue visits, those whose
+     * visit could act (issueReady) and that are not parked. Bits are
+     * set at dispatch, by an operand's arrival, by a replay and by a
+     * wake; a visit that finds an operand missing clears its bit, and
+     * so do issue, completion and squash. Instructions blocked only
+     * by a functional unit, a port or a cache bank stay in the set.
      */
-    SlotBitmap pendingBits;
+    SlotBitmap readyBits;
+    /**
+     * Loads the gate refused, out of the ready set until the event
+     * named by their park key (GateVerdict) wakes them to re-gate.
+     */
+    SlotBitmap parkedBits;
+    /**
+     * The parked loads waiting for an older store to post its address.
+     * All wait on the oldest unposted store; slot order is age order
+     * from the window head.
+     */
+    SlotBitmap unpostedWaiters;
+    /**
+     * Per store-buffer slot: the loads parked on that store's
+     * execution or release. Refs are validated at wake time, like
+     * consumer refs; a list is cleared when its slot is reallocated.
+     */
+    std::vector<std::vector<ConsumerRef>> storeWaiters;
+
+    /** A parked load's timed wake (GateVerdict::until). */
+    struct TimedWake
+    {
+        Tick at = 0;
+        ConsumerRef ref;
+
+        bool operator>(const TimedWake &o) const { return at > o.at; }
+    };
+    /**
+     * Timed wakes, earliest first; doIssue fires the due ones before
+     * its walk. They stay out of the event queue: runTiming's drain
+     * advances that clock to its last event and later latencies count
+     * from it, so one more event could shift them.
+     */
+    std::priority_queue<TimedWake, std::vector<TimedWake>,
+                        std::greater<>>
+        timedWakes;
 
     /**
      * Bytes read by in-flight memory-issued loads, by age. Replaces
@@ -389,11 +486,6 @@ class Processor
      */
     ByteSeqIndex loadBytes;
 
-    struct ConsumerRef
-    {
-        size_t slot = 0;
-        InstSeqNum seq = 0;
-    };
     /**
      * Per-producer consumer (wakeup) lists, indexed by the producer's
      * ROB slot; built during operand capture at dispatch. Replaces the
@@ -438,6 +530,8 @@ class Processor
     InstSeqNum nextSeq;
     TraceIndex nextFetchTraceIdx;
     uint64_t commitCount;
+    /** tryIssue calls made by doIssue; not a simulation statistic. */
+    uint64_t issueVisitCount = 0;
     bool haltedFlag;
     Tick lastMdptReset;
     /**

@@ -208,32 +208,58 @@ Processor::heavyInvariants()
         }
     }
 
-    // The pending-issue bitmap must be exactly the from-scratch
-    // predicate over the live window: resident, not done, and not yet
-    // (mem)issued.
-    size_t expected_pending = 0;
+    // The ready set and the parked loads. Every bit belongs to a
+    // pending instruction (resident, not done, not yet (mem)issued),
+    // and a pending instruction outside the ready set either lacks an
+    // operand its next action needs or is a parked load the gate
+    // still refuses. A parked load waiting for an unposted address
+    // must still have one ahead of it, or its wake has been missed.
+    size_t live_ready = 0;
+    size_t live_parked = 0;
+    size_t live_unposted = 0;
     for (size_t i = 0; i < rob.size(); ++i) {
         const DynInst &inst = rob.at(i);
         size_t slot = rob.slotOf(inst);
         bool pending = !inst.done &&
                        !(inst.isLoad() ? inst.memIssued : inst.issued);
-        if (pending)
-            ++expected_pending;
-        if (pendingBits.test(slot) != pending) {
+        bool ready = readyBits.test(slot);
+        bool parked = parkedBits.test(slot);
+        bool unposted = unpostedWaiters.test(slot);
+        live_ready += ready;
+        live_parked += parked;
+        live_unposted += unposted;
+        auto fail = [&](const char *what) {
             checkFail(SimErrorKind::Invariant,
-                      strfmt("pending bitmap %s for seq %llu (done %d, "
-                             "issued %d, memIssued %d)",
-                             pending ? "missing" : "stale",
+                      strfmt("issue set: seq %llu %s (done %d, issued %d, "
+                             "memIssued %d, ready %d, parked %d)",
                              static_cast<unsigned long long>(inst.seq),
-                             inst.done, inst.issued, inst.memIssued));
+                             what, inst.done, inst.issued,
+                             inst.memIssued, ready, parked));
+        };
+        if ((ready || parked) && !pending)
+            fail("is not pending");
+        if (ready && parked)
+            fail("is both ready and parked");
+        if (parked && !inst.isLoad())
+            fail("is parked but not a load");
+        if (unposted && (!parked || !sb.unpostedOlderThan(inst.seq)))
+            fail("waits for an unposted address it does not need");
+        if (pending && !ready && issueReady(inst)) {
+            if (!parked)
+                fail("could act but is neither ready nor parked");
+            if (loadMayIssue(inst).block == GateBlock::None)
+                fail("is parked but the gate would issue it");
         }
     }
-    if (pendingBits.count() != expected_pending) {
+    if (readyBits.count() != live_ready ||
+        parkedBits.count() != live_parked ||
+        unpostedWaiters.count() != live_unposted) {
         checkFail(SimErrorKind::Invariant,
-                  strfmt("pending bitmap holds %zu bits on dead slots "
-                         "(%zu set, %zu expected)",
-                         pendingBits.count() - expected_pending,
-                         pendingBits.count(), expected_pending));
+                  strfmt("issue set holds bits on dead slots (ready "
+                         "%zu/%zu, parked %zu/%zu, unposted %zu/%zu)",
+                         readyBits.count(), live_ready,
+                         parkedBits.count(), live_parked,
+                         unpostedWaiters.count(), live_unposted));
     }
 
     // The issued-load byte index must cover exactly the memory-issued

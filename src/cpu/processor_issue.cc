@@ -21,120 +21,218 @@ void
 Processor::doIssue()
 {
     unsigned slots = cfg.core.issueWidth;
+    sb.expireVisibleAddrs(cycle);
+    while (!timedWakes.empty() && timedWakes.top().at <= cycle) {
+        ConsumerRef ref = timedWakes.top().ref;
+        timedWakes.pop();
+        wakeParked(ref.slot, ref.seq);
+    }
     if (rob.empty())
         return;
 
-    // Walk the pending bitmap in age order instead of scanning every
+    // Walk the ready set in age order instead of scanning every
     // window entry. The window occupies slots [head, head+count) with
     // wraparound and bits exist only on live slots, so the [head, cap)
     // segment holds the older part and [0, head) the wrapped younger
     // part. The head cannot move during issue (commit already ran this
     // cycle), and every in-visit mutation — a squash clearing bits, a
-    // selective replay setting bits — only touches instructions younger
-    // than the one being visited, i.e. positions the walk has not
-    // reached; nextSet re-reads the words, so the historical full-scan
-    // semantics are preserved exactly.
+    // selective replay or a wake setting bits — only touches
+    // instructions younger than the one being visited, i.e. positions
+    // the walk has not reached; nextSet re-reads the words, so the
+    // historical full-scan semantics are preserved exactly. An
+    // instruction outside the set would do nothing if visited, so
+    // skipping it leaves every issue decision unchanged.
     size_t head = rob.slotOf(rob.front());
     bool wrapped = false;
-    size_t s = pendingBits.nextSet(head);
+    size_t s = readyBits.nextSet(head);
     while (slots > 0) {
         if (s == SlotBitmap::npos || (wrapped && s >= head)) {
             if (wrapped)
                 break;
             wrapped = true;
-            s = pendingBits.nextSet(0);
+            s = readyBits.nextSet(0);
             continue;
         }
+        ++issueVisitCount;
         tryIssue(rob.slot(s), slots);
         // Advance only after the visit: a selective replay inside it
         // may have set a bit between this slot and the next.
-        s = pendingBits.nextSet(s + 1);
+        s = readyBits.nextSet(s + 1);
     }
 }
 
 void
 Processor::tryIssue(DynInst &inst, unsigned &slots)
 {
-    {
-        if (inst.done)
-            return;
+    size_t slot = rob.slotOf(inst);
 
-        if (inst.isStore()) {
-            SbEntry &entry = sb.slot(inst.sbSlot);
-            if (lsqModel == LsqModel::AS) {
-                // Two-phase store: post the address as soon as the base
-                // register is available, the data whenever it arrives.
-                if (!entry.addrValid && inst.src1.ready &&
-                    lsqInPortsLeft > 0) {
-                    postStoreAddr(inst);
-                    --slots;
-                    --lsqInPortsLeft;
-                }
-                if (!inst.done && !entry.dataValid && inst.src2.ready)
-                    postStoreData(inst);
-            } else {
-                // Table 2 base model: stores wait for both data and
-                // address operands before issuing.
-                if (!inst.issued && inst.srcsReady() &&
-                    cycle >= inst.storeExecNotBefore &&
-                    lsqInPortsLeft > 0) {
-                    executeStoreNas(inst);
-                    --slots;
-                    --lsqInPortsLeft;
-                }
-            }
-            return;
-        }
-
-        if (inst.isLoad()) {
-            if (inst.memIssued || !inst.src1.ready)
-                return;
-            // Recompute on every attempt: a port-blocked load can sit
-            // with a cached address while selective recovery replaces
-            // its base register value underneath it.
-            inst.effAddr =
-                exec::effectiveAddr(inst.si, inst.src1.value);
-            if (!loadMayIssue(inst)) {
-                noteFalseDepStall(inst);
-                return;
-            }
-            if (memPortsLeft == 0 || lsqInPortsLeft == 0)
-                return;
-            executeLoad(inst);
-            if (inst.memIssued) {
+    if (inst.isStore()) {
+        SbEntry &entry = sb.slot(inst.sbSlot);
+        if (lsqModel == LsqModel::AS) {
+            // Two-phase store: post the address as soon as the base
+            // register is available, the data whenever it arrives.
+            if (!entry.addrValid && inst.src1.ready &&
+                lsqInPortsLeft > 0) {
+                postStoreAddr(inst);
                 --slots;
-                --memPortsLeft;
                 --lsqInPortsLeft;
             }
+            if (!inst.done && !entry.dataValid && inst.src2.ready)
+                postStoreData(inst);
+        } else {
+            // Table 2 base model: stores wait for both data and
+            // address operands before issuing.
+            if (!inst.issued && inst.srcsReady() &&
+                cycle >= inst.storeExecNotBefore &&
+                lsqInPortsLeft > 0) {
+                executeStoreNas(inst);
+                --slots;
+                --lsqInPortsLeft;
+            }
+        }
+        if (!issueReady(inst))
+            readyBits.clear(slot);
+        return;
+    }
+
+    if (inst.isLoad()) {
+        if (inst.memIssued || !inst.src1.ready) {
+            readyBits.clear(slot);
             return;
         }
-
-        // Plain computational / control instructions. Once issued they
-        // complete through the event queue and need no further issue
-        // attention; drop them from the pending set.
-        if (inst.issued || !inst.srcsReady())
+        // Recompute on every attempt: a port-blocked load can sit
+        // with a cached address while selective recovery replaces
+        // its base register value underneath it.
+        inst.effAddr = exec::effectiveAddr(inst.si, inst.src1.value);
+        GateVerdict gate = loadMayIssue(inst);
+        if (gate.block != GateBlock::None) {
+            // First-refusal accounting: noteFalseDepStall latches
+            // fdStallStarted, so each of these fires once per load.
+            if (gate.block == GateBlock::Barrier && !inst.fdStallStarted) {
+                ++pstats.barrierHolds;
+                if (__builtin_expect(dprof != nullptr, 0))
+                    dprof->noteBarrierHold(inst.pc);
+            }
+            noteFalseDepStall(inst);
+            park(inst, gate);
             return;
-        unsigned fu = static_cast<unsigned>(inst.si.fuClass());
-        if (fuUsed[fu] >= cfg.core.fuCopies)
-            return;
-        ++fuUsed[fu];
-        --slots;
-
-        inst.issued = true;
-        inst.issuedAt = cycle;
-        ++inst.epoch;
-        pendingBits.clear(rob.slotOf(inst));
-        if (inst.si.writesReg()) {
-            inst.result = exec::compute(inst.si, inst.src1.value,
-                                        inst.src2.value, inst.pc);
         }
-        InstSeqNum seq = inst.seq;
-        uint32_t epoch = inst.epoch;
-        eq.scheduleIn(inst.si.latency(), [this, seq, epoch]() {
-            DynInst *p = findInst(seq);
-            if (p && p->epoch == epoch && p->issued && !p->done)
-                completeInst(*p);
-        });
+        if (memPortsLeft == 0 || lsqInPortsLeft == 0)
+            return;
+        executeLoad(inst);
+        if (inst.memIssued) {
+            --slots;
+            --memPortsLeft;
+            --lsqInPortsLeft;
+        }
+        return;
+    }
+
+    // Plain computational / control instructions. Once issued they
+    // complete through the event queue and need no further issue
+    // attention; drop them from the ready set.
+    if (inst.issued || !inst.srcsReady()) {
+        readyBits.clear(slot);
+        return;
+    }
+    unsigned fu = static_cast<unsigned>(inst.si.fuClass());
+    if (fuUsed[fu] >= cfg.core.fuCopies)
+        return;
+    ++fuUsed[fu];
+    --slots;
+
+    inst.issued = true;
+    inst.issuedAt = cycle;
+    ++inst.epoch;
+    readyBits.clear(slot);
+    if (inst.si.writesReg()) {
+        inst.result = exec::compute(inst.si, inst.src1.value,
+                                    inst.src2.value, inst.pc);
+    }
+    InstSeqNum seq = inst.seq;
+    uint32_t epoch = inst.epoch;
+    eq.scheduleIn(inst.si.latency(), [this, seq, epoch]() {
+        DynInst *p = findInst(seq);
+        if (p && p->epoch == epoch && p->issued && !p->done)
+            completeInst(*p);
+    });
+}
+
+// ---------------------------------------------------------------------
+// The ready set and parked loads.
+// ---------------------------------------------------------------------
+
+bool
+Processor::issueReady(const DynInst &inst) const
+{
+    if (inst.done)
+        return false;
+    if (inst.isLoad())
+        return !inst.memIssued && inst.src1.ready;
+    if (inst.isStore() && lsqModel == LsqModel::AS) {
+        const SbEntry &entry = sb.slot(inst.sbSlot);
+        return (!entry.addrValid && inst.src1.ready) ||
+               (!entry.dataValid && inst.src2.ready);
+    }
+    return !inst.issued && inst.srcsReady();
+}
+
+void
+Processor::markReady(size_t slot)
+{
+    parkedBits.clear(slot);
+    unpostedWaiters.clear(slot);
+    readyBits.set(slot);
+}
+
+void
+Processor::park(DynInst &inst, const GateVerdict &gate)
+{
+    size_t slot = rob.slotOf(inst);
+    ConsumerRef ref{slot, inst.seq};
+    if (gate.until != 0)
+        timedWakes.push(TimedWake{gate.until, ref});
+    if (gate.store)
+        storeWaiters[sb.slotOf(*gate.store)].push_back(ref);
+    else if (gate.until == 0)
+        unpostedWaiters.set(slot);
+    readyBits.clear(slot);
+    parkedBits.set(slot);
+}
+
+void
+Processor::wakeParked(size_t slot, InstSeqNum seq)
+{
+    // A ref goes stale when its load is squashed, or when another
+    // event woke it first; a load that re-parked meanwhile is woken
+    // early, re-gates and parks again.
+    if (parkedBits.test(slot) && slotHolds(slot, seq))
+        markReady(slot);
+}
+
+void
+Processor::wakeStoreWaiters(const SbEntry &entry)
+{
+    std::vector<ConsumerRef> &list = storeWaiters[sb.slotOf(entry)];
+    for (const ConsumerRef &ref : list)
+        wakeParked(ref.slot, ref.seq);
+    list.clear();
+}
+
+void
+Processor::wakeUnpostedWaiters()
+{
+    // Oldest first, stopping at the first waiter an unposted store
+    // still precedes: it precedes every younger waiter too.
+    size_t head = rob.slotOf(rob.front());
+    for (size_t from : {head, size_t{0}}) {
+        for (size_t s = unpostedWaiters.nextSet(from);
+             s != SlotBitmap::npos && (from == head || s < head);
+             s = unpostedWaiters.nextSet(s + 1)) {
+            if (sb.unpostedOlderThan(rob.slot(s).seq))
+                return;
+            markReady(s);
+        }
     }
 }
 
@@ -142,77 +240,75 @@ Processor::tryIssue(DynInst &inst, unsigned &slots)
 // Load scheduling gates (the heart of the study).
 // ---------------------------------------------------------------------
 
-bool
-Processor::loadMayIssue(DynInst &inst)
+Processor::GateVerdict
+Processor::loadMayIssue(const DynInst &inst) const
 {
     // One gate for both LSQ models; they differ only in when a store's
     // address becomes visible (NAS: when the store executes; AS: once
     // its base register is ready, plus asLatency), and the store
-    // buffer already answers in those terms. Record WHY a refused load
-    // is gate-blocked so the commit-slot accounting can classify a
-    // stalled window head (obs/cpi_stack.hh). Observation only: the
-    // issue decision is exactly the gates' verdict.
-    GateBlock cause = GateBlock::None;
+    // buffer already answers in those terms. A refusal names the
+    // event that can lift it, which park() turns into a wake. The
+    // gate changes no state: tryIssue does the first-refusal
+    // accounting, and classifyResidual asks it about a stalled head.
     bool hold_ambiguous = lsqModel == LsqModel::AS
         ? policy != SpecPolicy::Naive
         : policy == SpecPolicy::No ||
               (policy == SpecPolicy::Selective && inst.waitAllStores);
-    if (sb.blockingOlderStore(inst.effAddr, inst.memSize, inst.seq,
-                              cycle)) {
+    if (const SbEntry *store = sb.blockingOlderStore(
+            inst.effAddr, inst.memSize, inst.seq, cycle)) {
         // Known true dependence: an older store with a visible address
         // overlapping the load and no data yet (only AS stores post an
         // address ahead of their data) — the load always waits.
-        cause = GateBlock::TrueDep;
-    } else if (hold_ambiguous && sb.ambiguousOlderThan(inst.seq, cycle)) {
+        return {GateBlock::TrueDep, store};
+    }
+    if (hold_ambiguous) {
         // NO, a SEL-predicted load, and every AS policy but NAV wait
-        // until no older store's address is unknown.
-        cause = GateBlock::Ambiguous;
-    } else if (lsqModel == LsqModel::NAS) {
+        // until no older store's address is unknown: first for the
+        // oldest unposted address, then for each posted one to become
+        // visible, unless its store is released first.
+        if (sb.unpostedOlderThan(inst.seq))
+            return {GateBlock::Ambiguous};
+        if (const SbEntry *store = sb.invisibleOlderThan(inst.seq, cycle))
+            return {GateBlock::Ambiguous, store, store->addrVisibleAt};
+    }
+    if (lsqModel == LsqModel::NAS) {
         switch (policy) {
           case SpecPolicy::StoreBarrier:
-            if (sb.barrierOlderThan(inst.seq)) {
-                cause = GateBlock::Barrier;
-                if (!inst.fdStallStarted) {
-                    ++pstats.barrierHolds;
-                    if (__builtin_expect(dprof != nullptr, 0))
-                        dprof->noteBarrierHold(inst.pc);
-                }
-            }
+            if (const SbEntry *barrier = sb.barrierOlderThan(inst.seq))
+                return {GateBlock::Barrier, barrier};
             break;
           case SpecPolicy::SpecSync:
-            if (!gateSync(inst))
-                cause = GateBlock::Sync;
-            break;
+            return gateSync(inst);
           case SpecPolicy::Oracle:
-            if (oracleProducerPending(inst))
-                cause = GateBlock::TrueDep;
+            if (const SbEntry *producer = oracleProducerPending(inst))
+                return {GateBlock::TrueDep, producer};
             break;
           default:
             break;
         }
     }
-    inst.gateBlock = cause;
-    return cause == GateBlock::None;
+    return {};
 }
 
-bool
-Processor::gateSync(DynInst &inst)
+Processor::GateVerdict
+Processor::gateSync(const DynInst &inst) const
 {
     if (!inst.hasSyncWait)
-        return true;
-    SbEntry *store = sb.findSeq(inst.syncWaitStore);
-    if (!store || store->seq >= inst.seq) {
-        // The store was squashed or has fully retired; nothing to wait
-        // for any more.
-        inst.hasSyncWait = false;
-        return true;
-    }
+        return {};
+    const SbEntry *store = sb.findSeq(inst.syncWaitStore);
+    // A store that was squashed or has left the buffer does not block.
+    if (!store || store->seq >= inst.seq)
+        return {};
     // "A waiting load is free to issue one cycle after the store it
     // speculatively depends upon issues."
-    return store->executed && cycle >= store->executedAt + 1;
+    if (!store->executed)
+        return {GateBlock::Sync, store};
+    if (cycle < store->executedAt + 1)
+        return {GateBlock::Sync, nullptr, store->executedAt + 1};
+    return {};
 }
 
-bool
+const SbEntry *
 Processor::oracleProducerPending(const DynInst &load) const
 {
     // EVERY producing store counts, not just the youngest: with
@@ -229,9 +325,9 @@ Processor::oracleProducerPending(const DynInst &load) const
             continue; // the producing store already committed
         const SbEntry *entry = sb.findTraceIdx(producer);
         if (entry && !entry->executed)
-            return true;
+            return entry;
     }
-    return false;
+    return nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -331,7 +427,7 @@ Processor::executeLoad(DynInst &inst)
     indexLoadBytes(inst);
     // Issued: completion arrives through the event queue; violation
     // checks reach the load through loadBytes, not the issue walk.
-    pendingBits.clear(rob.slotOf(inst));
+    readyBits.clear(rob.slotOf(inst));
     CWSIM_TRACE(Issue, "load seq %llu pc 0x%llx addr 0x%llx%s%s%s",
                 static_cast<unsigned long long>(inst.seq),
                 static_cast<unsigned long long>(inst.pc),
@@ -357,7 +453,7 @@ Processor::replayLoad(DynInst &inst)
     inst.memIssued = false;
     inst.memDone = false;
     inst.done = false;
-    pendingBits.set(rob.slotOf(inst));
+    markReady(rob.slotOf(inst));
     ++inst.timesReplayed;
     ++pstats.loadReplays;
     if (__builtin_expect(dprof != nullptr, 0))
@@ -382,6 +478,7 @@ Processor::executeStoreNas(DynInst &inst)
     Addr addr = exec::effectiveAddr(inst.si, inst.src1.value);
     // Single-phase store: address immediately visible, data with it.
     sb.postAddr(slot, addr, cycle, cycle);
+    wakeUnpostedWaiters();
     sb.postData(slot, exec::storeValue(inst.si, inst.src2.value));
     inst.effAddr = addr;
     CWSIM_TRACE(Issue, "store seq %llu pc 0x%llx addr 0x%llx",
@@ -405,6 +502,7 @@ Processor::postStoreAddr(DynInst &inst)
                     inst.seq, inst.pc, delay);
     }
     sb.postAddr(slot, addr, visible_at, cycle);
+    wakeUnpostedWaiters();
     inst.effAddr = addr;
     CWSIM_TRACE(LSQ, "store addr posted: seq %llu pc 0x%llx "
                 "addr 0x%llx visible at cycle %llu",
@@ -436,7 +534,8 @@ Processor::storeBecameExecuted(DynInst &inst, SbEntry &entry)
     inst.issued = true;
     inst.done = true;
     inst.issuedAt = cycle;
-    pendingBits.clear(rob.slotOf(inst));
+    readyBits.clear(rob.slotOf(inst));
+    wakeStoreWaiters(entry);
 
     if (policy != SpecPolicy::Oracle) {
         // The oracle skips detection: gateOracle holds every load
@@ -598,12 +697,15 @@ Processor::resetForReplay(DynInst &inst)
     inst.memDone = false;
     inst.effAddr = invalid_addr;
     ++inst.timesReplayed;
-    pendingBits.set(rob.slotOf(inst));
+    markReady(rob.slotOf(inst));
 
     if (inst.isStore() && inst.sbSlot >= 0) {
         SbEntry &entry = sb.slot(inst.sbSlot);
         panic_if(entry.seq != inst.seq, "replaying foreign SB entry");
         sb.invalidateForReplay(static_cast<size_t>(inst.sbSlot));
+        // Un-posting can re-key a waiter: an AS/NAV load behind this
+        // store's visible address may issue now.
+        wakeStoreWaiters(entry);
     }
     if (inst.isLoad()) {
         inst.loadRaw = 0;
@@ -722,7 +824,7 @@ Processor::noteFalseDepStall(DynInst &inst)
 
     // Classify using oracle knowledge: a stalled load with no in-flight
     // producing store is delayed by a false dependence.
-    bool true_dep = oracleProducerPending(inst);
+    bool true_dep = oracleProducerPending(inst) != nullptr;
     inst.fdIsFalse = !true_dep;
     CWSIM_TRACE(LSQ, "load stalled by %s dependence: seq %llu "
                 "pc 0x%llx",

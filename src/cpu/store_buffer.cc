@@ -166,20 +166,27 @@ StoreBuffer::findTraceIdx(TraceIndex idx) const
     return it == byTrace.end() ? nullptr : &q.slot(it->second);
 }
 
-bool
-StoreBuffer::ambiguousOlderThan(InstSeqNum seq, Tick now)
+const SbEntry *
+StoreBuffer::invisibleOlderThan(InstSeqNum seq, Tick now) const
 {
-    // Unposted addresses: the set is age-ordered, so one ordered probe
-    // answers "any older than seq".
-    if (!addrUnposted.empty() && *addrUnposted.begin() < seq)
-        return true;
+    for (const SlotRef &ref : addrInFlight) {
+        if (!refValid(ref))
+            continue;
+        const SbEntry &entry = q.slot(ref.slot);
+        if (entry.addrValid && now < entry.addrVisibleAt &&
+            entry.seq < seq && !entry.released) {
+            return &entry;
+        }
+    }
+    return nullptr;
+}
 
-    // Posted-but-not-yet-visible addresses. Compact dead or
-    // already-visible refs as we go: visibility is monotone (a posted
-    // address never un-posts without passing through
-    // invalidateForReplay, which drops the ref), so dropped refs can
-    // never be needed again.
-    bool ambiguous = false;
+void
+StoreBuffer::expireVisibleAddrs(Tick now)
+{
+    // A posted address never un-posts without passing through
+    // invalidateForReplay, which drops the ref, so a visible or dead
+    // ref can go.
     size_t keep = 0;
     for (size_t i = 0; i < addrInFlight.size(); ++i) {
         const SlotRef ref = addrInFlight[i];
@@ -189,34 +196,25 @@ StoreBuffer::ambiguousOlderThan(InstSeqNum seq, Tick now)
         if (!entry.addrValid || now >= entry.addrVisibleAt)
             continue;
         addrInFlight[keep++] = ref;
-        if (entry.seq < seq && !entry.released)
-            ambiguous = true;
     }
     addrInFlight.resize(keep);
-    return ambiguous;
 }
 
-bool
+const SbEntry *
 StoreBuffer::blockingOlderStore(Addr addr, unsigned size,
-                                InstSeqNum seq, Tick now)
+                                InstSeqNum seq, Tick now) const
 {
-    bool blocking = false;
-    size_t keep = 0;
-    for (size_t i = 0; i < awaitingData.size(); ++i) {
-        const SlotRef ref = awaitingData[i];
+    // postData erases a ref once its data arrives.
+    for (const SlotRef &ref : awaitingData) {
         if (!refValid(ref))
             continue;
         const SbEntry &entry = q.slot(ref.slot);
-        if (!entry.addrValid || entry.dataValid)
-            continue;
-        awaitingData[keep++] = ref;
         if (entry.seq < seq && now >= entry.addrVisibleAt &&
             !entry.released && entry.overlaps(addr, size)) {
-            blocking = true;
+            return &entry;
         }
     }
-    awaitingData.resize(keep);
-    return blocking;
+    return nullptr;
 }
 
 const SbEntry *

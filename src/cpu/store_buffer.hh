@@ -172,28 +172,61 @@ class StoreBuffer
     /** O(1) lookup by trace index (nullptr if not resident). */
     const SbEntry *findTraceIdx(TraceIndex idx) const;
 
+    /** The stable slot of resident entry @p entry. */
+    size_t slotOf(const SbEntry &entry) const { return q.slotOf(entry); }
+
     /**
      * Ambiguity: does a store older than @p seq, not yet released,
      * have no visible address at @p now? Under NAS: is any older
      * store unexecuted?
      */
-    bool ambiguousOlderThan(InstSeqNum seq, Tick now);
-
-    /** STORE: is an unexecuted barrier store older than @p seq? */
     bool
+    ambiguousOlderThan(InstSeqNum seq, Tick now) const
+    {
+        return unpostedOlderThan(seq) ||
+               invisibleOlderThan(seq, now) != nullptr;
+    }
+
+    /** Ambiguity, first case: is a store older than @p seq unposted? */
+    bool
+    unpostedOlderThan(InstSeqNum seq) const
+    {
+        return !addrUnposted.empty() && *addrUnposted.begin() < seq;
+    }
+
+    /**
+     * Ambiguity, second case: a store older than @p seq, not yet
+     * released, whose posted address is still invisible at @p now
+     * (nullptr if none).
+     */
+    const SbEntry *invisibleOlderThan(InstSeqNum seq, Tick now) const;
+
+    /**
+     * Drop the in-flight address refs that are visible at @p now.
+     * Visibility is monotone, so a dropped ref is never needed again;
+     * called once per cycle to keep invisibleOlderThan's scan short.
+     */
+    void expireVisibleAddrs(Tick now);
+
+    /** STORE: the oldest unexecuted barrier older than @p seq. */
+    const SbEntry *
     barrierOlderThan(InstSeqNum seq) const
     {
-        return !unexecutedBarriers.empty() &&
-               *unexecutedBarriers.begin() < seq;
+        if (unexecutedBarriers.empty() ||
+            *unexecutedBarriers.begin() >= seq) {
+            return nullptr;
+        }
+        return findSeq(*unexecutedBarriers.begin());
     }
 
     /**
      * Address-scheduler dependence: a store older than @p seq whose
      * address is visible at @p now, overlaps [addr, addr+size), and
-     * whose data has not arrived (the load must wait).
+     * whose data has not arrived (the load must wait for it; nullptr
+     * if none).
      */
-    bool blockingOlderStore(Addr addr, unsigned size, InstSeqNum seq,
-                            Tick now);
+    const SbEntry *blockingOlderStore(Addr addr, unsigned size,
+                                      InstSeqNum seq, Tick now) const;
 
     /**
      * Forwarding: the youngest store older than @p before with valid
@@ -254,8 +287,9 @@ class StoreBuffer
 
     /**
      * Entries whose posted address is not visible yet (addrVisibleAt
-     * in the future when posted). Compacted lazily as they become
-     * visible or die; bounded by stores posted within asLatency.
+     * in the future when posted). Compacted by expireVisibleAddrs as
+     * they become visible, and as they die; bounded by stores posted
+     * within asLatency.
      */
     ArenaVec<SlotRef> addrInFlight;
 

@@ -1,5 +1,6 @@
 #include "sim/config_parse.hh"
 
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -44,8 +45,37 @@ parseF64(const std::string &key, const std::string &value)
     } catch (const std::logic_error &) {
         pos = 0;
     }
-    fatal_if(pos != value.size(), "config: bad number '%s' for %s",
-             value.c_str(), key.c_str());
+    fatal_if(pos != value.size() || !std::isfinite(v),
+             "config: bad number '%s' for %s", value.c_str(),
+             key.c_str());
+    return v;
+}
+
+/** Fault-injection probabilities. */
+double
+parseRate(const std::string &key, const std::string &value)
+{
+    double v = parseF64(key, value);
+    fatal_if(v < 0 || v > 1, "config: bad number '%s' for %s (a rate "
+             "in [0, 1])", value.c_str(), key.c_str());
+    return v;
+}
+
+/**
+ * Window and store-buffer sizes. The core allocates per-slot arrays
+ * of this size; 4096 is 16x the largest window any study uses.
+ */
+constexpr uint64_t max_queue_size = 4096;
+
+uint64_t
+parseQueueSize(const std::string &key, const std::string &value)
+{
+    uint64_t v = parseU64(key, value,
+                          std::numeric_limits<uint64_t>::max());
+    fatal_if(v == 0 || v > max_queue_size,
+             "config: bad number '%s' for %s (1 to %llu)",
+             value.c_str(), key.c_str(),
+             static_cast<unsigned long long>(max_queue_size));
     return v;
 }
 
@@ -98,10 +128,18 @@ parseRecovery(const std::string &value)
         }                                                               \
     }
 
-#define F64_FIELD(key, expr)                                            \
+#define QUEUE_FIELD(key, expr)                                          \
     {                                                                   \
         key, [](SimConfig &c, const std::string &v) {                  \
-            expr = parseF64(key, v);                                    \
+            using Field = std::remove_reference_t<decltype(expr)>;      \
+            expr = static_cast<Field>(parseQueueSize(key, v));          \
+        }                                                               \
+    }
+
+#define RATE_FIELD(key, expr)                                           \
+    {                                                                   \
+        key, [](SimConfig &c, const std::string &v) {                  \
+            expr = parseRate(key, v);                                   \
         }                                                               \
     }
 
@@ -110,9 +148,9 @@ setters()
 {
     static const std::map<std::string, Setter> table = {
         // Core.
-        U64_FIELD("core.windowSize", c.core.windowSize),
+        QUEUE_FIELD("core.windowSize", c.core.windowSize),
         U64_FIELD("core.lsqSize", c.core.lsqSize),
-        U64_FIELD("core.storeBufferSize", c.core.storeBufferSize),
+        QUEUE_FIELD("core.storeBufferSize", c.core.storeBufferSize),
         U64_FIELD("core.fetchWidth", c.core.fetchWidth),
         U64_FIELD("core.fetchToDispatch", c.core.fetchToDispatch),
         U64_FIELD("core.issueWidth", c.core.issueWidth),
@@ -162,22 +200,22 @@ setters()
                   c.check.flightRecorderSize),
         // Fault injection.
         U64_FIELD("check.faults.seed", c.check.faults.seed),
-        F64_FIELD("check.faults.spuriousViolationRate",
-                  c.check.faults.spuriousViolationRate),
-        F64_FIELD("check.faults.storeAddrDelayRate",
-                  c.check.faults.storeAddrDelayRate),
+        RATE_FIELD("check.faults.spuriousViolationRate",
+                   c.check.faults.spuriousViolationRate),
+        RATE_FIELD("check.faults.storeAddrDelayRate",
+                   c.check.faults.storeAddrDelayRate),
         U64_FIELD("check.faults.storeAddrDelay",
                   c.check.faults.storeAddrDelay),
-        F64_FIELD("check.faults.mdptDropRate",
-                  c.check.faults.mdptDropRate),
-        F64_FIELD("check.faults.mdptCorruptRate",
-                  c.check.faults.mdptCorruptRate),
-        F64_FIELD("check.faults.hostCrashRate",
-                  c.check.faults.hostCrashRate),
-        F64_FIELD("check.faults.hostHangRate",
-                  c.check.faults.hostHangRate),
-        F64_FIELD("check.faults.hostAllocRate",
-                  c.check.faults.hostAllocRate),
+        RATE_FIELD("check.faults.mdptDropRate",
+                   c.check.faults.mdptDropRate),
+        RATE_FIELD("check.faults.mdptCorruptRate",
+                   c.check.faults.mdptCorruptRate),
+        RATE_FIELD("check.faults.hostCrashRate",
+                   c.check.faults.hostCrashRate),
+        RATE_FIELD("check.faults.hostHangRate",
+                   c.check.faults.hostHangRate),
+        RATE_FIELD("check.faults.hostAllocRate",
+                   c.check.faults.hostAllocRate),
         // Run control.
         U64_FIELD("maxInsts", c.maxInsts),
         U64_FIELD("maxCycles", c.maxCycles),
@@ -186,7 +224,8 @@ setters()
 }
 
 #undef U64_FIELD
-#undef F64_FIELD
+#undef QUEUE_FIELD
+#undef RATE_FIELD
 
 } // anonymous namespace
 

@@ -312,24 +312,35 @@ TEST(WindowChurn, SoaMirrorSurvivesFillSquashRefill)
     // recovery models with the level-2 checker on: a small window
     // keeps constant fill pressure, and a high spurious-violation
     // rate storms the recovery machinery. Every cycle the heavy
-    // invariants rebuild the pending-issue bitmap, the consumer lists
-    // and the load-byte index from the window's DynInst records, so
-    // an index left stale by a squash or a replay fails the run here.
+    // invariants check the ready set and the parked loads, and
+    // rebuild the consumer lists and the load-byte index, against the
+    // window's DynInst records, so an index left stale by a squash or
+    // a replay fails the run here. Under AS/NO with delayed address
+    // postings, a selective replay that un-posts a store must wake
+    // the loads parked on it.
     harness::Runner runner(20'000);
-    for (RecoveryModel recovery :
-         {RecoveryModel::Squash, RecoveryModel::Selective}) {
-        SimConfig cfg = withPolicy(makeW128Config(), LsqModel::NAS,
-                                   SpecPolicy::Naive);
-        cfg.core.windowSize = 32;
-        cfg.mdp.recovery = recovery;
-        cfg.check.level = 2;
-        cfg.check.faults.seed = 0xc4a11;
-        cfg.check.faults.spuriousViolationRate = 0.50;
+    for (LsqModel model : {LsqModel::NAS, LsqModel::AS}) {
+        for (RecoveryModel recovery :
+             {RecoveryModel::Squash, RecoveryModel::Selective}) {
+            SimConfig cfg = withPolicy(makeW128Config(), model,
+                                       model == LsqModel::NAS
+                                           ? SpecPolicy::Naive
+                                           : SpecPolicy::No);
+            cfg.core.windowSize = 32;
+            cfg.mdp.recovery = recovery;
+            cfg.check.level = 2;
+            cfg.check.faults.seed = 0xc4a11;
+            cfg.check.faults.spuriousViolationRate = 0.50;
+            if (model == LsqModel::AS) {
+                cfg.check.faults.storeAddrDelayRate = 0.10;
+                cfg.check.faults.storeAddrDelay = 6;
+            }
 
-        harness::RunResult r = runner.run("126.gcc", cfg);
-        ASSERT_TRUE(r.ok) << r.config << ": " << r.error;
-        EXPECT_GE(r.injectedViolations, 100u) << r.config;
-        EXPECT_GT(r.squashedInsts + r.replays, 0u) << r.config;
+            harness::RunResult r = runner.run("126.gcc", cfg);
+            ASSERT_TRUE(r.ok) << r.config << ": " << r.error;
+            EXPECT_GE(r.injectedViolations, 100u) << r.config;
+            EXPECT_GT(r.squashedInsts + r.replays, 0u) << r.config;
+        }
     }
     EXPECT_TRUE(runner.failures().empty());
 }

@@ -11,11 +11,13 @@
 #include <vector>
 
 #include "cpu/processor.hh"
+#include "harness/harness.hh"
 #include "isa/builder.hh"
 #include "isa/executor.hh"
 #include "mdp/oracle.hh"
 #include "mem/functional_memory.hh"
 #include "sim/config.hh"
+#include "workloads/workload.hh"
 
 namespace cwsim
 {
@@ -804,6 +806,39 @@ TEST(PipelineTest, StoreBufferPressureStallsButStaysCorrect)
     ASSERT_TRUE(proc.halted());
     EXPECT_EQ(proc.memory().fingerprint(), golden.memFingerprint);
     EXPECT_EQ(proc.procStats().committedStores.value(), 400u);
+}
+
+TEST(IssueWalk, VisitsPerCycleOnFig2Matrix)
+{
+    // The issue walk visits only instructions that can act: a
+    // refused load parks until the event that can change the gate's
+    // answer, and an instruction missing an operand waits for it.
+    // The bound sits well above the ~3 visits per cycle this takes
+    // and far below the ~66 of visiting every unissued instruction.
+    harness::Runner runner(4000);
+    std::vector<std::string> names = workloads::intNames();
+    names.insert(names.end(), workloads::fpNames().begin(),
+                 workloads::fpNames().end());
+    uint64_t visits = 0;
+    uint64_t cycles = 0;
+    for (const std::string &name : names) {
+        for (SpecPolicy policy :
+             {SpecPolicy::No, SpecPolicy::Naive, SpecPolicy::Oracle}) {
+            SimConfig cfg =
+                withPolicy(makeW128Config(), LsqModel::NAS, policy);
+            Processor proc(cfg, runner.workload(name).program,
+                           &runner.prepass(name).deps);
+            proc.run();
+            ASSERT_TRUE(proc.halted()) << name;
+            visits += proc.issueVisits();
+            cycles += proc.curCycle();
+        }
+    }
+    ASSERT_GT(cycles, 0u);
+    double per_cycle = static_cast<double>(visits) / cycles;
+    RecordProperty("visits_per_cycle", std::to_string(per_cycle));
+    EXPECT_LE(per_cycle, 10.0)
+        << visits << " visits over " << cycles << " cycles";
 }
 
 } // anonymous namespace

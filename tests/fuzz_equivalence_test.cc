@@ -297,6 +297,13 @@ TEST_P(FuzzEquivalence, PartialOverlapStressAllConfigs)
             SimConfig cfg = withPolicy(makeW128Config(), model, policy);
             cfg.mdp.recovery = recovery;
             cfg.maxCycles = 20'000'000;
+            // Level 2 re-checks the ready set and every parked load
+            // each cycle. Delayed address postings let an AS store be
+            // released before its address becomes visible.
+            cfg.check.level = 2;
+            cfg.check.faults.seed = GetParam();
+            cfg.check.faults.storeAddrDelayRate = 0.10;
+            cfg.check.faults.storeAddrDelay = 6;
             Processor proc(cfg, prog, &golden.deps);
             proc.run();
             std::string what =

@@ -527,6 +527,28 @@ TEST(ConfigParseDeathTest, BadNumber)
     // A leading zero does not switch to octal.
     applyConfigOption(cfg, "core.windowSize=010");
     EXPECT_EQ(cfg.core.windowSize, 10u);
+    // Queue sizes the core cannot allocate, or cannot use, are
+    // rejected rather than crashing or panicking every run.
+    for (const char *opt :
+         {"core.windowSize=4000000000", "core.windowSize=0",
+          "core.storeBufferSize=4000000000",
+          "core.storeBufferSize=0"}) {
+        EXPECT_EXIT(applyConfigOption(cfg, opt),
+                    ::testing::ExitedWithCode(1), "bad number")
+            << opt;
+    }
+    applyConfigOption(cfg, "core.windowSize=4096");
+    EXPECT_EQ(cfg.core.windowSize, 4096u);
+    // A fault rate is a probability: not NaN, not infinite, in [0, 1].
+    for (const char *rate : {"nan", "inf", "-0.5", "1.5"}) {
+        std::string opt =
+            std::string("check.faults.storeAddrDelayRate=") + rate;
+        EXPECT_EXIT(applyConfigOption(cfg, opt),
+                    ::testing::ExitedWithCode(1), "bad number")
+            << opt;
+    }
+    applyConfigOption(cfg, "check.faults.hostCrashRate=1.0");
+    EXPECT_EQ(cfg.check.faults.hostCrashRate, 1.0);
 }
 
 TEST(ConfigParseDeathTest, MissingEquals)
