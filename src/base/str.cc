@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -101,6 +102,23 @@ parseUnsigned(std::string_view text, uint64_t &out, unsigned base,
         std::from_chars(text.data(), end, v, static_cast<int>(base));
     if (ec != std::errc() || ptr != end || v > max)
         return false;
+    out = v;
+    return true;
+}
+
+bool
+parseSeconds(std::string_view text, double &out)
+{
+    // from_chars takes no whitespace, '+' or hex prefix; the checks
+    // below reject what else it accepts: "inf", "nan", a '-' sign
+    // (even on zero) and overflow.
+    double v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
+        std::signbit(v) || v > max_seconds) {
+        return false;
+    }
     out = v;
     return true;
 }

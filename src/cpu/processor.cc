@@ -7,6 +7,8 @@
 
 #include "cpu/processor.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "isa/exec_fn.hh"
 #include "obs/trace.hh"
@@ -163,7 +165,12 @@ Processor::runTiming(uint64_t max_commits)
         squashYoungerThan(0, archRegs.pc, commitCount,
                           /*repair_bpred=*/false, SquashCause::Drain);
     }
+    // The drain takes the time its in-flight work needs: the core
+    // clock catches up with the event clock, so the next phase's
+    // latencies count from the cycle they are scheduled in.
+    // pstats.cycles (and so IPC) still counts only ticked cycles.
     eq.drain();
+    cycle = std::max(cycle, eq.curTick());
     // Committed stores already updated architectural memory at commit;
     // force-retire their buffer entries so a functional phase starts
     // from an empty machine.

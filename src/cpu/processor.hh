@@ -22,9 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <set>
 #include <vector>
 
@@ -458,24 +456,6 @@ class Processor
      * consumer refs; a list is cleared when its slot is reallocated.
      */
     std::vector<std::vector<ConsumerRef>> storeWaiters;
-
-    /** A parked load's timed wake (GateVerdict::until). */
-    struct TimedWake
-    {
-        Tick at = 0;
-        ConsumerRef ref;
-
-        bool operator>(const TimedWake &o) const { return at > o.at; }
-    };
-    /**
-     * Timed wakes, earliest first; doIssue fires the due ones before
-     * its walk. They stay out of the event queue: runTiming's drain
-     * advances that clock to its last event and later latencies count
-     * from it, so one more event could shift them.
-     */
-    std::priority_queue<TimedWake, std::vector<TimedWake>,
-                        std::greater<>>
-        timedWakes;
 
     /**
      * Bytes read by in-flight memory-issued loads, by age. Replaces

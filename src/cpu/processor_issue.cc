@@ -22,11 +22,6 @@ Processor::doIssue()
 {
     unsigned slots = cfg.core.issueWidth;
     sb.expireVisibleAddrs(cycle);
-    while (!timedWakes.empty() && timedWakes.top().at <= cycle) {
-        ConsumerRef ref = timedWakes.top().ref;
-        timedWakes.pop();
-        wakeParked(ref.slot, ref.seq);
-    }
     if (rob.empty())
         return;
 
@@ -190,8 +185,10 @@ Processor::park(DynInst &inst, const GateVerdict &gate)
 {
     size_t slot = rob.slotOf(inst);
     ConsumerRef ref{slot, inst.seq};
-    if (gate.until != 0)
-        timedWakes.push(TimedWake{gate.until, ref});
+    if (gate.until != 0) {
+        eq.schedule(gate.until,
+                    [this, ref]() { wakeParked(ref.slot, ref.seq); });
+    }
     if (gate.store)
         storeWaiters[sb.slotOf(*gate.store)].push_back(ref);
     else if (gate.until == 0)

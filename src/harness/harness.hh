@@ -72,9 +72,7 @@ struct RunResult
 
     /**
      * Commit-slot cycle accounting, indexed by obs::CpiCause. Sums to
-     * cycles * commitWidth for a completed run. commitWidth == 0 marks
-     * a record that predates the accounting (schema v1/v2 cache or
-     * JSONL records): the slots are unknown, not zero-loss.
+     * cycles * commitWidth for a completed run.
      */
     std::array<uint64_t, obs::num_cpi_causes> cpiSlots{};
     unsigned commitWidth = 0;
@@ -111,7 +109,7 @@ struct RunResult
      */
     std::string diagnostic;
 
-    // Dependence-profile surface (schema v5). Host-adjacent: the
+    // Dependence-profile surface. Host-adjacent: the
     // profile is deterministic per run but only collected when
     // CWSIM_DEPPROF / --depprof is on, so diffRunRecords excludes
     // these fields — dedicated tests compare them directly instead.
@@ -177,9 +175,6 @@ struct RunResult
      */
     std::string failLabel() const;
 
-    /** True when this record carries CPI-stack data (schema >= v3). */
-    bool hasCpiStack() const { return commitWidth != 0; }
-
     uint64_t
     cpiTotalSlots() const
     {
@@ -189,11 +184,11 @@ struct RunResult
         return total;
     }
 
-    /** Share of all commit slots spent on @p cause (NaN without data). */
+    /** Share of all commit slots spent on @p cause (NaN without slots). */
     double
     cpiFraction(obs::CpiCause cause) const
     {
-        if (!hasCpiStack() || cpiTotalSlots() == 0)
+        if (cpiTotalSlots() == 0)
             return std::numeric_limits<double>::quiet_NaN();
         return static_cast<double>(cpiSlots[size_t(cause)]) /
                static_cast<double>(cpiTotalSlots());

@@ -19,11 +19,14 @@
  *
  * Responses carry an "ev" field; a sweep's events all echo its "id":
  *
- *   {"ev":"hello",...}                 handshake reply
+ *   {"ev":"hello","proto":2,"slots":N,"cache_dir":...,
+ *    "cache_size":N,"scale":N}         handshake reply
  *   {"ev":"pong"}
- *   {"ev":"stats",...}                 legacy counters + the full
- *                                      metrics-registry snapshot
- *                                      (cwsimd_ and cwsim_ keys)
+ *   {"ev":"stats","slots":N,"draining":B, <registry>}
+ *                                      the full metrics-registry
+ *                                      snapshot (cwsimd_ and cwsim_
+ *                                      keys) plus the two settings
+ *                                      no metric carries
  *   {"ev":"accepted","id":...,"runs":N,"cached":N,"deduped":N,
  *    "queued":N}                       submit admitted (all-or-nothing)
  *   {"ev":"rejected","id":...,"reason":...}
@@ -53,8 +56,12 @@ namespace cwsim
 namespace svc
 {
 
-/** Protocol revision, echoed in the hello event. */
-constexpr unsigned protocol_version = 1;
+/**
+ * Protocol revision, echoed in the hello event. v2 dropped the stats
+ * event's duplicate counters (their registry metrics carry them) and
+ * the hello event's "isolate" key.
+ */
+constexpr unsigned protocol_version = 2;
 
 /**
  * Longest request line a server accepts, newline excluded. Generous —

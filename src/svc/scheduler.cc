@@ -134,16 +134,6 @@ Scheduler::complete(uint64_t key)
     if (it == units.end())
         return {};
     std::vector<RunRef> refs = std::move(it->second.refs);
-    // A completed-while-queued unit (inline executor) must leave its
-    // owner queue too.
-    auto oq = ownerQueues.find(it->second.owner);
-    if (oq != ownerQueues.end()) {
-        auto pos = std::find(oq->second.begin(), oq->second.end(), key);
-        if (pos != oq->second.end())
-            oq->second.erase(pos);
-        if (oq->second.empty())
-            ownerQueues.erase(oq);
-    }
     units.erase(it);
     updateGauges();
     return refs;

@@ -120,15 +120,12 @@ class Scheduler
      */
     RunUnit *next();
 
-    /**
-     * The unit for a pool token, or nullptr. Valid for Running units
-     * (completion lookups) and Queued ones (inline executors).
-     */
+    /** The unit for a pool token, or nullptr. */
     RunUnit *find(uint64_t key);
 
     /**
-     * Complete a unit: returns its surviving refs (every subscriber to
-     * notify) and erases it.
+     * Complete a Running unit: returns its surviving refs (every
+     * subscriber to notify) and erases it.
      */
     std::vector<RunRef> complete(uint64_t key);
 

@@ -157,15 +157,13 @@ Server::start(std::string *err)
         return false;
     }
 
-    if (opts.isolate) {
-        sweep::IsolateOptions iopts;
-        iopts.slots = opts.slots;
-        iopts.timeoutSec = opts.timeoutSec;
-        iopts.memLimitMb = opts.memLimitMb;
-        iopts.retries = opts.retries;
-        pool = std::make_unique<sweep::IsolatePool>(iopts);
-        pool->setMetrics(&metrics);
-    }
+    sweep::IsolateOptions iopts;
+    iopts.slots = opts.slots;
+    iopts.timeoutSec = opts.timeoutSec;
+    iopts.memLimitMb = opts.memLimitMb;
+    iopts.retries = opts.retries;
+    pool = std::make_unique<sweep::IsolatePool>(iopts);
+    pool->setMetrics(&metrics);
 
     if (!opts.traceEventsPath.empty()) {
         trace = std::make_unique<obs::TraceEventWriter>(
@@ -316,8 +314,7 @@ Server::send(Session &s, const std::string &line)
         logLine(s.id, strfmt("dropped: output backlog exceeded the "
                              "%zu-byte cap",
                              opts.maxOutBuf));
-        if (sm.backlogDrops)
-            sm.backlogDrops->inc();
+        sm.backlogDrops->inc();
         s.dead = true;
         return;
     }
@@ -357,11 +354,8 @@ Server::acceptPending(int listenFd)
         s.fd = fd;
         uint64_t id = s.id;
         sessions.emplace(fd, std::move(s));
-        ++totalSessions;
-        if (sm.sessions)
-            sm.sessions->inc();
-        if (sm.sessionsOpen)
-            sm.sessionsOpen->set(static_cast<double>(sessions.size()));
+        sm.sessions->inc();
+        sm.sessionsOpen->set(static_cast<double>(sessions.size()));
         if (trace) {
             trace->metaThreadName(trace_pid_clients, id,
                                   strfmt("client %llu",
@@ -459,27 +453,19 @@ Server::finishUnit(uint64_t key, harness::RunResult r,
         elapsedMs(unit->admittedAt, unit->dispatchedAt) + info.queueMs;
 
     cache->append(fp, scale, r);
-    ++executedRuns;
-    if (sm.executed)
-        sm.executed->inc();
+    sm.executed->inc();
     if (r.depProfiled) {
-        if (sm.depprofRuns)
-            sm.depprofRuns->inc();
-        if (sm.depprofEdges)
-            sm.depprofEdges->inc(r.depEdges);
-        if (sm.depprofLastEdges)
-            sm.depprofLastEdges->set(static_cast<double>(r.depEdges));
+        sm.depprofRuns->inc();
+        sm.depprofEdges->inc(r.depEdges);
+        sm.depprofLastEdges->set(static_cast<double>(r.depEdges));
     }
     metrics
         .counter("cwsimd_run_results_total", result_help, "kind",
                  harness::toString(r.failKind))
         .inc();
-    if (sm.runLatency) {
-        sm.runLatency->observe(
-            elapsedMs(unit->admittedAt,
-                      std::chrono::steady_clock::now()) /
-            1000.0);
-    }
+    sm.runLatency->observe(
+        elapsedMs(unit->admittedAt, std::chrono::steady_clock::now()) /
+        1000.0);
 
     // complete() erases the unit, so snapshot what the spans need
     // first (the refs come back from complete itself).
@@ -504,8 +490,6 @@ Server::finishUnit(uint64_t key, harness::RunResult r,
 void
 Server::dispatchReady()
 {
-    if (!pool)
-        return;
     while (pool->freeSlots() > 0) {
         RunUnit *unit = sched.next();
         if (!unit)
@@ -532,30 +516,11 @@ Server::dispatchReady()
 }
 
 void
-Server::runInlineUnit()
-{
-    RunUnit *unit = sched.next();
-    if (!unit)
-        return;
-    // Runner::run is fail-soft (SimErrors come back in the record);
-    // inline mode deliberately skips process isolation, so host-fault
-    // workloads belong on the isolated executor.
-    auto t0 = std::chrono::steady_clock::now();
-    harness::RunResult r =
-        runnerFor(unit->scale).run(unit->job.workload,
-                                   unit->job.config);
-    ExecInfo info;
-    info.execMs = elapsedMs(t0, std::chrono::steady_clock::now());
-    finishUnit(unit->key, r, {}, info);
-}
-
-void
 Server::handleSubmit(Session &s,
                      const std::map<std::string, std::string> &req)
 {
     std::string id = field(req, "id");
-    if (sm.submits)
-        sm.submits->inc();
+    sm.submits->inc();
     auto reject = [&](const std::string &reason) {
         metrics
             .counter("cwsimd_submits_rejected_total", reject_help,
@@ -610,8 +575,7 @@ Server::handleSubmit(Session &s,
     if (!sched.canAdmit(s.id, fresh, attached + fresh, reason))
         return reject(reason);
 
-    if (sm.submitsAccepted)
-        sm.submitsAccepted->inc();
+    sm.submitsAccepted->inc();
     logLine(s.id, strfmt("submit '%s' accepted: %zu runs (%llu "
                          "cached, %llu deduped, %llu queued)",
                          spec.id.c_str(), jobs.size(),
@@ -637,9 +601,7 @@ Server::handleSubmit(Session &s,
             // A hit never queued for THIS delivery; the stored
             // queue_ms belongs to whoever paid for the run.
             hit.queueMs = 0;
-            ++cacheHitRuns;
-            if (sm.cacheHits)
-                sm.cacheHits->inc();
+            sm.cacheHits->inc();
             if (trace) {
                 trace->instant(
                     jobs[i].workload + " " + jobs[i].config.name(),
@@ -648,13 +610,11 @@ Server::handleSubmit(Session &s,
             }
             deliverRecord(s, ref, hit, fps[i], scale);
         } else {
-            if (!sched.admit(ref, fps[i], jobs[i], scale,
-                             spec.intervalCycles)) {
-                ++dedupedRuns;
-                if (sm.dedupeHits)
-                    sm.dedupeHits->inc();
-            } else if (sm.runsAdmitted) {
+            if (sched.admit(ref, fps[i], jobs[i], scale,
+                            spec.intervalCycles)) {
                 sm.runsAdmitted->inc();
+            } else {
+                sm.dedupeHits->inc();
             }
         }
     }
@@ -665,8 +625,7 @@ Server::handleLine(Session &s, const std::string &line)
 {
     std::map<std::string, std::string> req;
     if (!parseFlatJson(line, req)) {
-        if (sm.protocolErrors)
-            sm.protocolErrors->inc();
+        sm.protocolErrors->inc();
         JsonObject o;
         o.add("ev", "error").add("reason", "malformed request");
         send(s, o.str());
@@ -678,7 +637,6 @@ Server::handleLine(Session &s, const std::string &line)
         o.add("ev", "hello")
             .add("proto", static_cast<uint64_t>(protocol_version))
             .add("slots", static_cast<uint64_t>(opts.slots))
-            .add("isolate", opts.isolate)
             .add("cache_dir", opts.cacheDir)
             .add("cache_size", static_cast<uint64_t>(cache->size()))
             .add("scale", opts.defaultScale);
@@ -691,19 +649,10 @@ Server::handleLine(Session &s, const std::string &line)
         refreshSnapshotGauges();
         JsonObject o;
         o.add("ev", "stats")
-            .add("clients", static_cast<uint64_t>(sessions.size()))
-            .add("total_clients", totalSessions)
-            .add("executed", executedRuns)
-            .add("cache_hits", cacheHitRuns)
-            .add("deduped", dedupedRuns)
-            .add("queued", static_cast<uint64_t>(sched.queued()))
-            .add("running", static_cast<uint64_t>(sched.running()))
-            .add("cache_size", static_cast<uint64_t>(cache->size()))
             .add("slots", static_cast<uint64_t>(opts.slots))
             .add("draining", draining);
-        // The full registry snapshot rides along: every metric name
-        // is cwsimd_/cwsim_-prefixed, so the legacy keys above stay
-        // collision-free.
+        // The registry carries every counter and gauge; its names are
+        // cwsimd_/cwsim_-prefixed, so the keys above cannot collide.
         send(s, mergeJson(o.str(), metrics.flatJson()));
     } else if (cmd == "corpus") {
         // The whole shared corpus, one record per event — what
@@ -726,8 +675,7 @@ Server::handleLine(Session &s, const std::string &line)
         // Same path as SIGTERM: drain, then the final shutdown event.
         requestStop();
     } else {
-        if (sm.protocolErrors)
-            sm.protocolErrors->inc();
+        sm.protocolErrors->inc();
         JsonObject o;
         o.add("ev", "error")
             .add("reason", strfmt("unknown cmd '%s'", cmd.c_str()));
@@ -749,8 +697,7 @@ Server::reapDeadSessions()
         sched.dropClient(it->second.id);
         ::close(it->second.fd);
         it = sessions.erase(it);
-        if (sm.sessionsOpen)
-            sm.sessionsOpen->set(static_cast<double>(sessions.size()));
+        sm.sessionsOpen->set(static_cast<double>(sessions.size()));
     }
 }
 
@@ -763,7 +710,7 @@ Server::run()
         // A drain is complete once every admitted run has finished —
         // orphans included, so a SIGTERM never discards paid-for work.
         if (draining && sched.queued() == 0 && sched.running() == 0 &&
-            (!pool || pool->idle())) {
+            pool->idle()) {
             for (auto &[fd, s] : sessions) {
                 JsonObject o;
                 o.add("ev", "shutdown");
@@ -776,8 +723,7 @@ Server::run()
                 ::close(fd);
             }
             sessions.clear();
-            if (sm.sessionsOpen)
-                sm.sessionsOpen->set(0);
+            sm.sessionsOpen->set(0);
             // Final telemetry: one last exposition dump and the
             // trace-event array's closing bracket.
             if (!opts.metricsPath.empty())
@@ -808,14 +754,9 @@ Server::run()
             pfds.push_back({fd, events, 0});
         }
         size_t poolAt = pfds.size();
-        if (pool)
-            pool->addPollFds(pfds);
+        pool->addPollFds(pfds);
 
-        int timeout = -1;
-        if (pool)
-            timeout = pool->timeoutMs();
-        else if (sched.queued() > 0)
-            timeout = 0; // inline executor has work now
+        int timeout = pool->timeoutMs();
         if (!opts.metricsPath.empty()) {
             // Wake in time for the next metrics-file dump too.
             int dumpMs = static_cast<int>(std::max(
@@ -879,8 +820,7 @@ Server::run()
             std::string line;
             while (!s.dead && takeLine(s.inBuf, line)) {
                 if (line.size() > max_request_line) {
-                    if (sm.protocolErrors)
-                        sm.protocolErrors->inc();
+                    sm.protocolErrors->inc();
                     JsonObject o;
                     o.add("ev", "error")
                         .add("reason", "request line too long");
@@ -894,8 +834,7 @@ Server::run()
             // An unterminated line beyond the cap is the same
             // violation as an oversized one — don't buffer it forever.
             if (!s.dead && s.inBuf.size() > max_request_line) {
-                if (sm.protocolErrors)
-                    sm.protocolErrors->inc();
+                sm.protocolErrors->inc();
                 JsonObject o;
                 o.add("ev", "error")
                     .add("reason", "request line too long");
@@ -904,13 +843,9 @@ Server::run()
             }
         }
 
-        if (pool) {
-            for (sweep::IsolatePool::Done &d : pool->service()) {
-                ExecInfo info{d.slot, d.queueMs, d.execMs};
-                finishUnit(d.token, d.result, d.intervalLines, info);
-            }
-        } else {
-            runInlineUnit();
+        for (sweep::IsolatePool::Done &d : pool->service()) {
+            ExecInfo info{d.slot, d.queueMs, d.execMs};
+            finishUnit(d.token, d.result, d.intervalLines, info);
         }
 
         if (!opts.metricsPath.empty() &&

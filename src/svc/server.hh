@@ -28,13 +28,6 @@
  * and is delivered; then each session gets a final shutdown event and
  * run() returns. Orphaned work (client gone mid-sweep) finishes too —
  * its results belong to the corpus, not the departed client.
- *
- * The executor can also run inline (opts.isolate = false): queued
- * units execute one per loop iteration on the server thread through
- * the ordinary fail-soft Runner. That trades crash containment and
- * parallelism for determinism and speed — it exists for tests and
- * single-user setups; interval streaming requires the isolated
- * executor.
  */
 
 #ifndef CWSIM_SVC_SERVER_HH
@@ -70,8 +63,6 @@ struct ServerOptions
 
     /** Worker slots (isolated child processes). */
     unsigned slots = 1;
-    /** Execute runs in forked slots (false = inline, for tests). */
-    bool isolate = true;
     double timeoutSec = 0;
     uint64_t memLimitMb = 0;
     unsigned retries = 1;
@@ -144,10 +135,10 @@ class Server
     };
 
     /** How a unit actually executed, for telemetry and the
-     * queue/execute wallMs split (pool- or inline-observed). */
+     * queue/execute wallMs split (pool-observed). */
     struct ExecInfo
     {
-        unsigned slot = 0;  ///< Worker slot (0 for inline).
+        unsigned slot = 0;  ///< Worker slot.
         double queueMs = 0; ///< Executor-side queue wait.
         double execMs = 0;  ///< Parent-observed execute time.
     };
@@ -164,7 +155,6 @@ class Server
                     const std::vector<std::string> &intervalLines,
                     const ExecInfo &info);
     void dispatchReady();
-    void runInlineUnit();
     void send(Session &s, const std::string &line);
     void flushSession(Session &s);
     void reapDeadSessions();
@@ -188,13 +178,6 @@ class Server
     bool draining = false;
     uint64_t nextClientId = 1;
 
-    // Counters surfaced by the stats event (the legacy flat fields;
-    // the metrics registry below is the richer superset).
-    uint64_t executedRuns = 0;
-    uint64_t cacheHitRuns = 0;
-    uint64_t dedupedRuns = 0;
-    uint64_t totalSessions = 0;
-
     // Telemetry: the registry snapshot rides in every stats event and
     // in --metrics-file dumps; spans go to --trace-events.
     obs::MetricsRegistry metrics;
@@ -202,7 +185,10 @@ class Server
     std::chrono::steady_clock::time_point startedAt;
     std::chrono::steady_clock::time_point nextMetricsDump;
 
-    /** Hot-path metric handles, registered once in start(). */
+    /**
+     * Hot-path metric handles, registered once in start(), before
+     * run() can use any of them.
+     */
     struct
     {
         obs::Counter *sessions = nullptr;

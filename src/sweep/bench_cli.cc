@@ -1,6 +1,5 @@
 #include "sweep/bench_cli.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -108,13 +107,10 @@ parseCount(const char *flag, const std::string &value, uint64_t min)
 }
 
 double
-parseSeconds(const char *flag, const std::string &value)
+secondsArg(const char *flag, const std::string &value)
 {
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    fatal_if(value.empty() || *end != '\0' || errno == ERANGE ||
-             !(v >= 0),
+    double v = 0;
+    fatal_if(!parseSeconds(value, v),
              "%s: not a non-negative number of seconds: '%s'", flag,
              value.c_str());
     return v;
@@ -127,13 +123,10 @@ envSeconds(const char *name, double fallback)
     const char *text = std::getenv(name);
     if (!text || !*text)
         return fallback;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (*end != '\0' || errno == ERANGE || !(v >= 0)) {
+    double v = fallback;
+    if (!parseSeconds(text, v)) {
         warn("%s: not a non-negative number: '%s' (using %g)", name,
              text, fallback);
-        return fallback;
     }
     return v;
 }
@@ -215,7 +208,7 @@ parseBenchArgs(int argc, char **argv, uint64_t defaultScale)
             opts.isolate = true;
         } else if (arg == "--timeout") {
             opts.timeoutSec =
-                parseSeconds("--timeout", value(i, "--timeout"));
+                secondsArg("--timeout", value(i, "--timeout"));
         } else if (arg == "--mem-limit") {
             opts.memLimitMb =
                 parseCount("--mem-limit", value(i, "--mem-limit"), 0);
@@ -341,8 +334,7 @@ BenchCli::run(const SweepPlan &plan)
 
     // Commit-slot loss breakdown, one row per run, in plan order (the
     // engine returns results in plan order at any --jobs count, so
-    // this table is deterministic). Cache hits from a pre-v3 cache
-    // have no accounting; render "n/a", never 0%.
+    // this table is deterministic).
     std::printf("\nCPI stack (%% of commit slots = cycles x width):\n");
     TextTable table;
     std::vector<std::string> header = {"workload", "config"};

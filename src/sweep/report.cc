@@ -533,32 +533,46 @@ loadRunRecords(const std::string &path, std::vector<ReportRecord> &out,
         return false;
     }
     size_t bad = 0;
+    size_t loaded = out.size();
+    std::set<uint64_t> oldVersions;
     std::string line;
     while (std::getline(in, line)) {
         if (trim(line).empty())
             continue;
         std::map<std::string, std::string> fields;
         ReportRecord rec;
+        uint64_t fp = 0;
         if (!parseFlatJson(line, fields) ||
-            !runRecordParse(fields, rec.run)) {
+            !runRecordParseWithEnvelope(fields, rec.run, fp,
+                                        rec.scale)) {
+            auto v = fields.find("v");
+            uint64_t version = 0;
+            if (v != fields.end() && parseUnsigned(v->second, version) &&
+                version < run_record_version) {
+                oldVersions.insert(version);
+            }
             ++bad;
             continue;
         }
-        auto scale_it = fields.find("scale");
-        if (scale_it != fields.end() &&
-            !parseUnsigned(scale_it->second, rec.scale)) {
-            // A present-but-garbled scale is a malformed record, not
-            // a silent scale-0 row that skews the summary.
-            ++bad;
-            continue;
-        }
-        auto fp_it = fields.find("fp");
-        if (fp_it != fields.end())
-            rec.fp = fp_it->second;
+        rec.fp = strfmt("%016llx", static_cast<unsigned long long>(fp));
         out.push_back(std::move(rec));
     }
     if (rejected)
         *rejected = bad;
+    if (out.size() == loaded && !oldVersions.empty()) {
+        std::string names;
+        for (uint64_t version : oldVersions) {
+            names += strfmt("%sv%llu", names.empty() ? "" : ", ",
+                            static_cast<unsigned long long>(version));
+        }
+        if (err) {
+            *err = strfmt("%s: schema %s records are no longer read "
+                          "(this build reads v%u only)",
+                          path.c_str(), names.c_str(),
+                          run_record_version);
+        }
+        return false;
+    }
     return true;
 }
 
@@ -753,16 +767,14 @@ renderReport(const std::vector<ReportRecord> &records,
 
     // ---- CPI stacks --------------------------------------------------
     {
-        // One table per config that carries schema-v3 accounting:
-        // rows are workloads, columns the causes that are nonzero
-        // anywhere under that config (plus "committed", always).
+        // One table per config: rows are workloads, columns the
+        // causes that are nonzero anywhere under that config (plus
+        // "committed", always).
         Section s;
         s.title = "CPI stacks (commit-slot loss breakdown)";
         s.paragraphs.push_back(
             "Each cell is the share of commit slots (cycles x "
-            "commitWidth) attributed to a cause; rows sum to 100%. "
-            "Records from pre-v3 sweeps have no accounting and are "
-            "omitted.");
+            "commitWidth) attributed to a cause; rows sum to 100%.");
         for (const auto &cfg : idx.configs) {
             std::vector<obs::CpiCause> causes;
             for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
@@ -770,8 +782,7 @@ renderReport(const std::vector<ReportRecord> &records,
                 bool nonzero = cause == obs::CpiCause::Committed;
                 for (const auto &w : idx.workloads) {
                     const ReportRecord *r = idx.find(w, cfg);
-                    if (r && r->run.ok && r->run.hasCpiStack() &&
-                        r->run.cpiSlots[i] > 0) {
+                    if (r && r->run.ok && r->run.cpiSlots[i] > 0) {
                         nonzero = true;
                         break;
                     }
@@ -786,7 +797,7 @@ renderReport(const std::vector<ReportRecord> &records,
                 t.header.push_back(obs::toString(cause));
             for (const auto &w : idx.workloads) {
                 const ReportRecord *r = idx.find(w, cfg);
-                if (!r || !r->run.ok || !r->run.hasCpiStack())
+                if (!r || !r->run.ok)
                     continue;
                 std::vector<std::string> row = {w};
                 for (auto cause : causes)
@@ -1206,20 +1217,13 @@ diffRunRecords(const std::vector<ReportRecord> &baseline,
         // drift. The depprof bit-identity tests compare the profile
         // surface directly instead.
 
-        // CPI stacks only compare when both records carry them: a
-        // baseline captured before schema v3 cannot constrain them.
-        if (rb.hasCpiStack() && rc.hasCpiStack()) {
-            diffU64(d, key, "commit_width", rb.commitWidth,
-                    rc.commitWidth);
-            for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
-                std::string field =
-                    std::string("cpi_") +
-                    obs::statKey(obs::CpiCause(i));
-                diffU64(d, key, field.c_str(), rb.cpiSlots[i],
-                        rc.cpiSlots[i]);
-            }
-        } else {
-            ++d.cpiSkipped;
+        diffU64(d, key, "commit_width", rb.commitWidth,
+                rc.commitWidth);
+        for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
+            std::string field =
+                std::string("cpi_") + obs::statKey(obs::CpiCause(i));
+            diffU64(d, key, field.c_str(), rb.cpiSlots[i],
+                    rc.cpiSlots[i]);
         }
     }
     for (const auto &[key, c] : cur) {
@@ -1243,10 +1247,6 @@ formatDiff(const DiffResult &d)
                  d.compared, d.drift.size() - d.baselineOnly -
                      d.currentOnly,
                  d.baselineOnly, d.currentOnly);
-    if (d.cpiSkipped > 0) {
-        os << strfmt(" (%zu run(s) without CPI data on one side)",
-                     d.cpiSkipped);
-    }
     os << "\n";
     for (const DriftEntry &e : d.drift) {
         os << strfmt("DRIFT %s: %s %s -> %s\n", e.key.c_str(),

@@ -33,14 +33,16 @@ struct ReportRecord
 {
     harness::RunResult run;
     uint64_t scale = 0;
-    std::string fp; ///< Fingerprint hex text (may be empty).
+    std::string fp; ///< Fingerprint, 16 hex digits ("" if built in memory).
 };
 
 /**
  * Load every parseable record of a sweep JSONL file, in file order.
- * Unparseable lines are skipped and counted into @p rejected (when
- * non-null). Returns false with @p err set only when the file itself
- * cannot be read.
+ * Unparseable lines, records of older schemas included, are skipped
+ * and counted into @p rejected (when non-null). Returns false with
+ * @p err set when the file cannot be read, or when it holds records
+ * of an older schema and none of the current one; @p err then names
+ * the versions.
  */
 bool loadRunRecords(const std::string &path,
                     std::vector<ReportRecord> &out, std::string *err,
@@ -52,9 +54,8 @@ enum class ReportFormat { Markdown, Html };
  * Render @p records as a self-contained report: an IPC matrix over
  * every (workload, config) present, the paper's Figure 2 / 5 / 6
  * comparison tables when the relevant configs are present, per-config
- * CPI-stack loss breakdowns (schema-v3 records only), hot dependence
- * edges (schema-v5 records carrying a profile summary), and a
- * failed-run table.
+ * CPI-stack loss breakdowns, hot dependence edges (records carrying
+ * a profile summary), and a failed-run table.
  *
  * @param top Per-table row cap for the unbounded tables (hot edges,
  *        per-PC aggregations); a "rows dropped" footer reports what
@@ -90,8 +91,6 @@ struct DiffResult
     size_t compared = 0;     ///< Runs present in both files.
     size_t baselineOnly = 0; ///< Runs missing from the current file.
     size_t currentOnly = 0;  ///< Runs missing from the baseline file.
-    /** Runs whose CPI stacks were not compared (one side pre-v3). */
-    size_t cpiSkipped = 0;
     std::vector<DriftEntry> drift;
     /** Why the inputs could not be compared at all ("" when they were). */
     std::string error;
@@ -111,11 +110,11 @@ struct DiffResult
 /**
  * Compare two record sets keyed by (workload, config, scale),
  * field-by-field over every simulated stat (counters, ok/error, the
- * CPI stack when both sides carry one). Host-profiling fields are
- * ignored. A key that names several runs in either file (the config
- * name omits e.g. the AS latency and the recovery model) is told apart
- * by fp on both sides; when a record of such a key has no fp, the
- * diff fails with @c error set. Within one file, a later record for
+ * CPI stack). Host-profiling fields are ignored. A key that names
+ * several runs in either file (the config name omits e.g. the AS
+ * latency and the recovery model) is told apart by fp on both sides;
+ * when a record of such a key has no fp, the diff fails with @c error
+ * set. Within one file, a later record for
  * the same run supersedes an earlier one (the run-cache "later
  * records win" rule).
  */

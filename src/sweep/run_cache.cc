@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -75,6 +74,19 @@ getStr(const std::map<std::string, std::string> &fields,
     return true;
 }
 
+bool
+getBool(const std::map<std::string, std::string> &fields,
+        const char *key, bool &out)
+{
+    auto it = fields.find(key);
+    if (it == fields.end() ||
+        (it->second != "true" && it->second != "false")) {
+        return false;
+    }
+    out = it->second == "true";
+    return true;
+}
+
 } // anonymous namespace
 
 uint64_t
@@ -115,30 +127,25 @@ runRecordLine(const harness::RunResult &r, uint64_t fp, uint64_t scale)
         .add("falseDepLatency", r.falseDepLatency)
         .add("injectedViolations", r.injectedViolations)
         .add("ipc", r.ipc())
-        // v2 host-profiling and diagnostic fields. wall_ms and
+        // Host-profiling and diagnostic fields. wall_ms, queue_ms and
         // sim_cycles_per_sec vary run to run; determinism comparisons
         // must ignore them.
         .add("wall_ms", r.wallMs)
-        // queue_ms rides along as a schema-compatible extra field
-        // (readers ignore unknown keys; runRecordParse treats it as
-        // optional), so no version bump is needed.
         .add("queue_ms", r.queueMs)
         .add("sim_cycles_per_sec", r.simCyclesPerSec())
         .add("cache_hit", r.cacheHit)
         .add("diagnostic", r.diagnostic);
-    // v4 failure taxonomy (--isolate classification).
+    // Failure taxonomy (--isolate classification).
     obj.add("fail_kind", harness::toString(r.failKind))
         .add("fail_detail", r.failDetail)
         .add("fail_injected", r.injectedHostFault);
-    // v3 commit-slot accounting. commit_width == 0 round-trips the
-    // "predates the accounting" marker for records rebuilt from older
-    // caches.
+    // Commit-slot accounting.
     obj.add("commit_width", static_cast<uint64_t>(r.commitWidth));
     for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
         obj.add(std::string("cpi_") + obs::statKey(obs::CpiCause(i)),
                 r.cpiSlots[i]);
     }
-    // v5 dependence-profile summary. Host-adjacent (only filled when
+    // Dependence-profile summary. Host-adjacent (only filled when
     // profiling was enabled for the run), so diffRunRecords leaves
     // these out of the simulated-field comparison.
     obj.add("dep_profiled", r.depProfiled)
@@ -153,28 +160,15 @@ bool
 runRecordParse(const std::map<std::string, std::string> &fields,
                harness::RunResult &out)
 {
-    // Older records lack the fields later schemas added; every prior
-    // version stays readable with those fields defaulted so a schema
-    // bump never invalidates a warm cache. Future (unknown) versions
-    // are rejected: their semantics are unknowable here.
     uint64_t version = 0;
-    if (!getU64(fields, "v", version) || version < 1 ||
-        version > run_record_version) {
+    if (!getU64(fields, "v", version) || version != run_record_version)
         return false;
-    }
 
     harness::RunResult r;
-    auto okField = fields.find("ok");
-    if (okField == fields.end())
-        return false;
-    if (okField->second == "true")
-        r.ok = true;
-    else if (okField->second == "false")
-        r.ok = false;
-    else
-        return false;
-
-    bool valid = getStr(fields, "workload", r.workload) &&
+    std::string kind;
+    uint64_t width = 0;
+    bool valid = getBool(fields, "ok", r.ok) &&
+                 getStr(fields, "workload", r.workload) &&
                  getStr(fields, "config", r.config) &&
                  getStr(fields, "error", r.error) &&
                  getU64(fields, "cycles", r.cycles) &&
@@ -195,86 +189,45 @@ runRecordParse(const std::map<std::string, std::string> &fields,
                  getF64(fields, "falseDepLatency",
                         r.falseDepLatency) &&
                  getU64(fields, "injectedViolations",
-                        r.injectedViolations);
+                        r.injectedViolations) &&
+                 getF64(fields, "wall_ms", r.wallMs) &&
+                 getF64(fields, "queue_ms", r.queueMs) &&
+                 getBool(fields, "cache_hit", r.cacheHit) &&
+                 getStr(fields, "diagnostic", r.diagnostic) &&
+                 getStr(fields, "fail_kind", kind) &&
+                 harness::failKindFromString(kind, r.failKind) &&
+                 getStr(fields, "fail_detail", r.failDetail) &&
+                 getBool(fields, "fail_injected", r.injectedHostFault) &&
+                 getU64(fields, "commit_width", width) &&
+                 width <= std::numeric_limits<unsigned>::max() &&
+                 getBool(fields, "dep_profiled", r.depProfiled) &&
+                 getU64(fields, "dep_loads", r.depLoads) &&
+                 getU64(fields, "dep_stores", r.depStores) &&
+                 getU64(fields, "dep_edges", r.depEdges) &&
+                 getStr(fields, "dep_hot_edges", r.depHotEdges);
     if (!valid)
         return false;
-
-    if (version >= 2) {
-        if (!getF64(fields, "wall_ms", r.wallMs) ||
-            !getStr(fields, "diagnostic", r.diagnostic)) {
+    r.commitWidth = static_cast<unsigned>(width);
+    for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
+        std::string key =
+            std::string("cpi_") + obs::statKey(obs::CpiCause(i));
+        if (!getU64(fields, key.c_str(), r.cpiSlots[i]))
             return false;
-        }
-        // Optional queue-wait split; records written before it
-        // existed simply leave it 0.
-        getF64(fields, "queue_ms", r.queueMs);
-        auto hit = fields.find("cache_hit");
-        if (hit == fields.end())
-            return false;
-        if (hit->second == "true")
-            r.cacheHit = true;
-        else if (hit->second == "false")
-            r.cacheHit = false;
-        else
-            return false;
-    }
-
-    // Pre-v4 records predate process isolation: the only failure class
-    // that existed was the in-process SimError.
-    r.failKind = r.ok ? harness::FailKind::None
-                      : harness::FailKind::SimError;
-    if (version >= 4) {
-        std::string kind;
-        if (!getStr(fields, "fail_kind", kind) ||
-            !harness::failKindFromString(kind, r.failKind) ||
-            !getStr(fields, "fail_detail", r.failDetail)) {
-            return false;
-        }
-        auto injected = fields.find("fail_injected");
-        if (injected == fields.end())
-            return false;
-        if (injected->second == "true")
-            r.injectedHostFault = true;
-        else if (injected->second == "false")
-            r.injectedHostFault = false;
-        else
-            return false;
-    }
-
-    if (version >= 3) {
-        uint64_t width = 0;
-        if (!getU64(fields, "commit_width", width) ||
-            width > std::numeric_limits<unsigned>::max()) {
-            return false;
-        }
-        r.commitWidth = static_cast<unsigned>(width);
-        for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
-            std::string key =
-                std::string("cpi_") + obs::statKey(obs::CpiCause(i));
-            if (!getU64(fields, key.c_str(), r.cpiSlots[i]))
-                return false;
-        }
-    }
-
-    if (version >= 5) {
-        auto profiled = fields.find("dep_profiled");
-        if (profiled == fields.end())
-            return false;
-        if (profiled->second == "true")
-            r.depProfiled = true;
-        else if (profiled->second == "false")
-            r.depProfiled = false;
-        else
-            return false;
-        if (!getU64(fields, "dep_loads", r.depLoads) ||
-            !getU64(fields, "dep_stores", r.depStores) ||
-            !getU64(fields, "dep_edges", r.depEdges) ||
-            !getStr(fields, "dep_hot_edges", r.depHotEdges)) {
-            return false;
-        }
     }
 
     out = r;
     return true;
+}
+
+bool
+runRecordParseWithEnvelope(
+    const std::map<std::string, std::string> &fields,
+    harness::RunResult &run, uint64_t &fp, uint64_t &scale)
+{
+    auto fpText = fields.find("fp");
+    return fpText != fields.end() && fpText->second.size() == 16 &&
+           parseUnsigned(fpText->second, fp, 16) &&
+           getU64(fields, "scale", scale) && runRecordParse(fields, run);
 }
 
 namespace
@@ -327,13 +280,9 @@ scanCacheFile(const std::string &path, ScanVisitor &v)
 
         std::map<std::string, std::string> fields;
         harness::RunResult r;
-        uint64_t fp = 0;
+        uint64_t fp = 0, scale = 0;
         if (!parseFlatJson(line, fields) ||
-            !runRecordParse(fields, r) ||
-            fields.find("fp") == fields.end() ||
-            std::sscanf(fields.at("fp").c_str(), "%llx",
-                        reinterpret_cast<unsigned long long *>(&fp)) !=
-                1) {
+            !runRecordParseWithEnvelope(fields, r, fp, scale)) {
             if (!terminated) {
                 // Torn trailing line: skip silently, the next append
                 // repairs the file.
@@ -344,8 +293,6 @@ scanCacheFile(const std::string &path, ScanVisitor &v)
             }
             continue;
         }
-        uint64_t scale = 0;
-        getU64(fields, "scale", scale);
         if (v.onRecord)
             v.onRecord(fp, scale, r, line);
     }

@@ -9,8 +9,8 @@
  * simulation changes the key. Completed RunResults are appended to
  * <dir>/runs.jsonl, one flat JSON object per line; re-running a bench
  * or resuming an interrupted sweep then skips every run whose
- * fingerprint is already present. Entries with unknown schema
- * versions, malformed JSON, or stale fingerprints are silently
+ * fingerprint is already present. Entries of another schema
+ * version, malformed JSON, or stale fingerprints are silently
  * ignored (and recomputed) — a poisoned cache can cost time, never
  * correctness.
  */
@@ -34,19 +34,8 @@ namespace sweep
 
 /**
  * Cache-entry schema; bump when RunResult's serialized shape changes.
- * v5 added the dependence-profile summary (dep_profiled, dep_loads,
- * dep_stores, dep_edges, dep_hot_edges — filled only when CWSIM_DEPPROF
- * / --depprof was on for the run); v4 added the failure taxonomy
- * (fail_kind, fail_detail, fail_injected) introduced with the
- * --isolate executor; v3 added the commit-slot CPI stack (commit_width
- * + one cpi_* field per obs::CpiCause); v2 added host-profiling
- * (wall_ms, sim_cycles_per_sec, cache_hit) and the failure diagnostic.
- * Older records are still accepted on read with the newer fields
- * defaulted — a v1/v2 record parses with commit_width == 0 ("CPI stack
- * unknown", never zero loss), a pre-v4 record's fail_kind is derived
- * from its ok flag (none when ok, sim_error otherwise — the only
- * failure class that existed before process isolation), and a pre-v5
- * record simply carries no dependence profile (dep_profiled == false).
+ * Only this version is read: a record of any other version is
+ * rejected, and the cache recomputes it.
  */
 constexpr unsigned run_record_version = 5;
 
@@ -59,12 +48,24 @@ std::string runRecordLine(const harness::RunResult &r, uint64_t fp,
                           uint64_t scale);
 
 /**
- * Rebuild a RunResult from a parsed record. Returns false when the
- * record is from another schema version or any field is missing or
+ * Rebuild a RunResult from a parsed record's body. Returns false when
+ * the record is from another schema version or any field is missing or
  * malformed.
  */
 bool runRecordParse(const std::map<std::string, std::string> &fields,
                     harness::RunResult &out);
+
+/**
+ * Parse a whole record: its envelope — @p fp (exactly 16 hex digits)
+ * and @p scale — together with its body (runRecordParse). Every
+ * reader of run records goes through it: the cache scan,
+ * loadRunRecords, `cwsim-report --connect` and `cwsim-client`.
+ * Returns false, with the outputs unspecified, when any of the three
+ * is missing or malformed.
+ */
+bool runRecordParseWithEnvelope(
+    const std::map<std::string, std::string> &fields,
+    harness::RunResult &run, uint64_t &fp, uint64_t &scale);
 
 /**
  * Crash-safe against dirty shutdowns and concurrent writers: appends
@@ -81,8 +82,7 @@ class RunCache
   public:
     /**
      * Open (creating if needed) the cache under @p dir and index every
-     * parseable record of <dir>/runs.jsonl. Later records win, so a
-     * re-run after a schema bump supersedes old lines in place.
+     * parseable record of <dir>/runs.jsonl. Later records win.
      */
     explicit RunCache(const std::string &dir);
     ~RunCache();
@@ -129,8 +129,8 @@ class RunCache
 struct CacheFsckReport
 {
     size_t lines = 0;       ///< Non-blank lines examined.
-    size_t valid = 0;       ///< Parseable, current-or-older schema.
-    size_t unparseable = 0; ///< Garbage / unknown schema (torn tail excluded).
+    size_t valid = 0;       ///< Parseable, current schema.
+    size_t unparseable = 0; ///< Garbage / other schema (torn tail excluded).
     size_t duplicates = 0;  ///< Valid records superseded by a later one.
     bool tornTail = false;  ///< Final line truncated (no newline, unparseable).
     bool ioError = false;   ///< The file could not be read.

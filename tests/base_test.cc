@@ -341,6 +341,28 @@ TEST(StrTest, EnvUint64)
     unsetenv("CWSIM_TEST_KNOB");
 }
 
+TEST(StrTest, ParseSeconds)
+{
+    double v = -1;
+    for (auto [text, want] :
+         {std::pair<const char *, double>{"0", 0.0}, {"2", 2.0},
+          {"2.5", 2.5}, {".5", 0.5}, {"1e3", 1000.0},
+          {"1000000000", max_seconds}}) {
+        ASSERT_TRUE(parseSeconds(text, v)) << "'" << text << "'";
+        EXPECT_DOUBLE_EQ(v, want) << "'" << text << "'";
+    }
+
+    // Only the whole string, finite and not negative; a rejection
+    // leaves the output untouched.
+    v = 7;
+    for (const char *bad :
+         {"", " 2", "2 ", "+2", "-1", "-0", "2s", "0x10", "inf",
+          "infinity", "nan", "-nan", "1e400", "1000000001", "1,5"}) {
+        EXPECT_FALSE(parseSeconds(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7.0) << "'" << bad << "'";
+    }
+}
+
 TEST(SimErrorTrap, NestsOnOneThread)
 {
     EXPECT_FALSE(errorTrapActive());

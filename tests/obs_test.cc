@@ -15,7 +15,10 @@
 #include <string>
 
 #include "base/jsonl.hh"
+#include "base/str.hh"
 #include "cpu/processor.hh"
+#include "isa/static_inst.hh"
+#include "mem/functional_memory.hh"
 #include "obs/interval.hh"
 #include "obs/pipeview.hh"
 #include "obs/trace.hh"
@@ -384,6 +387,78 @@ TEST_F(ObsTest, ProcessorEmitsValidPipelineTraceAndIntervals)
 
     std::remove(pipe_path.c_str());
     std::remove(interval_path.c_str());
+}
+
+TEST_F(ObsTest, SampledPhasesCompleteSingleCycleOpsOneCycleAfterIssue)
+{
+    // The paper's sampling methodology (Section 3.1): timing phases
+    // alternate with functional fast-forwards. Each phase ends with a
+    // drain that fires every pending event, which can carry the event
+    // clock past the core clock; the next phase must still time its
+    // instructions from the cycle they issue in. The O3PipeView issue
+    // and complete stamps show it: every committed single-cycle op
+    // completes one cycle after it issued.
+    std::string pipe_path = tmpPath("sampled_pipeview.out");
+    obs::TraceManager &tm = obs::TraceManager::instance();
+    ASSERT_TRUE(tm.setPipeViewPath(pipe_path));
+
+    Workload w = workloads::build("104.hydro2d", 40'000);
+    PrepassResult pre = runPrepass(w.program);
+    ASSERT_TRUE(pre.halted);
+    SimConfig cfg = withPolicy(makeW128Config(), LsqModel::NAS,
+                               SpecPolicy::Naive);
+    Processor proc(cfg, w.program, &pre.deps);
+    unsigned phases = 0;
+    while (!proc.halted()) {
+        proc.runTiming(4000);
+        ++phases;
+        if (proc.halted() || proc.fastForward(8000) == 0)
+            break;
+    }
+    ASSERT_GT(phases, 2u);
+    EXPECT_EQ(proc.memory().fingerprint(), pre.memFingerprint);
+    tm.resetForTesting(); // close the pipeview file before reading
+
+    FunctionalMemory code;
+    w.program.loadInto(code);
+    std::ifstream in(pipe_path);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    Addr pc = 0;
+    uint64_t issue = 0, complete = 0, checked = 0, late = 0;
+    std::string firstLate;
+    while (std::getline(in, line)) {
+        std::vector<std::string> f = split(line, ':');
+        ASSERT_GE(f.size(), 3u) << line;
+        const std::string &stage = f[1];
+        uint64_t tick = std::stoull(f[2]);
+        if (stage == "fetch") {
+            pc = std::stoull(f.at(3), nullptr, 16);
+        } else if (stage == "issue") {
+            issue = tick;
+        } else if (stage == "complete") {
+            complete = tick;
+        } else if (stage == "retire" && tick != 0) {
+            StaticInst si = StaticInst::decode(
+                static_cast<uint32_t>(code.read(pc, 4)));
+            if (si.isMem() || si.latency() != 1)
+                continue;
+            ++checked;
+            if (complete != issue + obs::pipeview_ticks_per_cycle) {
+                if (late++ == 0) {
+                    firstLate = strfmt(
+                        "%s at 0x%llx: issue %llu, complete %llu",
+                        si.disassemble().c_str(),
+                        static_cast<unsigned long long>(pc),
+                        static_cast<unsigned long long>(issue),
+                        static_cast<unsigned long long>(complete));
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 5'000u);
+    EXPECT_EQ(late, 0u) << "first late op: " << firstLate;
+    std::remove(pipe_path.c_str());
 }
 
 TEST_F(ObsTest, ReleaseModeTracePointCompilesToNothingObservable)

@@ -141,17 +141,6 @@ TEST(Report, RendersFig5Fig6AndFailedRuns)
     EXPECT_NE(md.find("FAILED"), std::string::npos);
 }
 
-TEST(Report, OmitsCpiStackForPreV3Records)
-{
-    ReportRecord rec = makeRun("130.li", "NAS/NAV", 1000, 2000);
-    rec.run.commitWidth = 0; // pre-v3: stack unknown, not zero-loss
-    rec.run.cpiSlots = {};
-    std::string md =
-        sweep::renderReport({rec}, ReportFormat::Markdown);
-    EXPECT_NE(md.find("No records with CPI-stack data"),
-              std::string::npos) << md;
-}
-
 TEST(ReportDiff, IdenticalRecordsCompareClean)
 {
     std::vector<ReportRecord> a =
@@ -167,7 +156,6 @@ TEST(ReportDiff, IdenticalRecordsCompareClean)
     DiffResult d = sweep::diffRunRecords(a, b);
     EXPECT_TRUE(d.clean());
     EXPECT_EQ(d.compared, 3u);
-    EXPECT_EQ(d.cpiSkipped, 0u);
     EXPECT_NE(sweep::formatDiff(d).find("no drift"),
               std::string::npos);
 }
@@ -206,23 +194,6 @@ TEST(ReportDiff, MissingAndExtraRunsAreNotClean)
     EXPECT_EQ(d.compared, 2u);
     EXPECT_EQ(d.baselineOnly, 1u);
     EXPECT_EQ(d.currentOnly, 1u);
-}
-
-TEST(ReportDiff, SkipsCpiComparisonWhenOneSidePredatesV3)
-{
-    std::vector<ReportRecord> a =
-        fig2Records("129.compress", 1600, 2800, 3300);
-    std::vector<ReportRecord> b = a;
-    // The baseline predates v3: CPI columns unknown there, so only
-    // the shared stats constrain the diff.
-    a[0].run.commitWidth = 0;
-    a[0].run.cpiSlots = {};
-
-    DiffResult d = sweep::diffRunRecords(a, b);
-    EXPECT_TRUE(d.clean());
-    EXPECT_EQ(d.cpiSkipped, 1u);
-    EXPECT_NE(sweep::formatDiff(d).find("without CPI data"),
-              std::string::npos);
 }
 
 TEST(ReportDiff, ComparesFailKindButNotHostDependentDetail)
@@ -338,9 +309,22 @@ TEST(ReportLoad, RoundTripsRunRecordLinesAndSkipsGarbage)
         std::ofstream out(path);
         ReportRecord rec = makeRun("129.compress", "NAS/NAV", 1000,
                                    2800);
-        out << sweep::runRecordLine(rec.run, 0xbeefull, 2000) << "\n";
+        std::string line = sweep::runRecordLine(rec.run, 0xbeefull, 2000);
+        out << line << "\n";
         out << "this is not json\n";
         out << "{\"v\":99,\"ok\":\"true\"}\n";
+        // Envelopes the loader once let through: no fp, no scale, and
+        // an fp that is not 16 hex digits.
+        const std::string fpField = "\"fp\":\"000000000000beef\",";
+        const std::string scaleField = "\"scale\":2000,";
+        std::string noFp = line;
+        noFp.erase(noFp.find(fpField), fpField.size());
+        std::string noScale = line;
+        noScale.erase(noScale.find(scaleField), scaleField.size());
+        std::string badFp = line;
+        badFp.replace(badFp.find(fpField), fpField.size(),
+                      "\"fp\":\"beefzz\",");
+        out << noFp << "\n" << noScale << "\n" << badFp << "\n";
     }
 
     std::vector<ReportRecord> records;
@@ -349,7 +333,7 @@ TEST(ReportLoad, RoundTripsRunRecordLinesAndSkipsGarbage)
     ASSERT_TRUE(
         sweep::loadRunRecords(path, records, &err, &rejected));
     EXPECT_EQ(records.size(), 1u);
-    EXPECT_EQ(rejected, 2u);
+    EXPECT_EQ(rejected, 5u);
     EXPECT_EQ(records[0].run.workload, "129.compress");
     EXPECT_EQ(records[0].scale, 2000u);
     EXPECT_EQ(records[0].fp, "000000000000beef");
@@ -390,6 +374,41 @@ TEST(ReportLoad, RejectsGarbledScaleInsteadOfTruncating)
     EXPECT_EQ(records.size(), 1u);
     EXPECT_EQ(rejected, 1u);
     EXPECT_EQ(records[0].scale, 2000u);
+    std::remove(path.c_str());
+}
+
+TEST(ReportLoad, RejectsFilesOfOlderSchemas)
+{
+    // A file holding only records of an older schema fails to load
+    // with one message naming the version, instead of an empty report.
+    std::string path =
+        "report_load_old_test." + std::to_string(::getpid()) + ".jsonl";
+    ReportRecord rec = makeRun("129.compress", "NAS/NAV", 1000, 2800);
+    std::string line = sweep::runRecordLine(rec.run, 0xbeefull, 2000);
+    ASSERT_EQ(line.rfind("{\"v\":5,", 0), 0u) << line;
+    {
+        std::ofstream out(path);
+        out << "{\"v\":3," << line.substr(7) << "\n";
+        out << "{\"v\":3," << line.substr(7) << "\n";
+    }
+    std::vector<ReportRecord> records;
+    std::string err;
+    EXPECT_FALSE(sweep::loadRunRecords(path, records, &err));
+    EXPECT_TRUE(records.empty());
+    EXPECT_NE(err.find("schema v3 records are no longer read"),
+              std::string::npos) << err;
+
+    // Beside a current record, an old one is merely skipped.
+    {
+        std::ofstream out(path, std::ios::app);
+        out << line << "\n";
+    }
+    size_t rejected = 0;
+    err.clear();
+    ASSERT_TRUE(sweep::loadRunRecords(path, records, &err, &rejected))
+        << err;
+    EXPECT_EQ(records.size(), 1u);
+    EXPECT_EQ(rejected, 2u);
     std::remove(path.c_str());
 }
 

@@ -334,6 +334,12 @@ ev(const Event &event, const char *key)
     return it == event.end() ? std::string() : it->second;
 }
 
+double
+statNum(const Event &event, const char *key)
+{
+    return std::strtod(ev(event, key).c_str(), nullptr);
+}
+
 /** Read events until one of kind @p kind arrives (fails the test on EOF). */
 bool
 awaitEvent(Client &client, const std::string &kind, Event &out)
@@ -348,17 +354,9 @@ awaitEvent(Client &client, const std::string &kind, Event &out)
     return false;
 }
 
-ServerOptions
-inlineOptions()
-{
-    ServerOptions opts;
-    opts.isolate = false; // deterministic single-thread executor
-    return opts;
-}
-
 TEST(SvcServer, HandshakeAndLivenessProbes)
 {
-    LiveServer live("svc_hello", inlineOptions());
+    LiveServer live("svc_hello");
     ASSERT_TRUE(live.started);
     Client c = live.connect();
     std::string err;
@@ -368,13 +366,14 @@ TEST(SvcServer, HandshakeAndLivenessProbes)
     EXPECT_EQ(ev(event, "proto"),
               std::to_string(svc::protocol_version));
     EXPECT_EQ(ev(event, "scale"), "2000");
+    EXPECT_EQ(event.count("isolate"), 0u) << "one executor, no flag";
     ASSERT_TRUE(c.sendLine("{\"cmd\":\"ping\"}", &err)) << err;
     ASSERT_TRUE(awaitEvent(c, "pong", event));
 }
 
 TEST(SvcServer, MalformedLineCostsOneErrorEventNotTheSession)
 {
-    LiveServer live("svc_malformed", inlineOptions());
+    LiveServer live("svc_malformed");
     ASSERT_TRUE(live.started);
     Client c = live.connect();
     std::string err;
@@ -394,7 +393,7 @@ TEST(SvcServer, MalformedLineCostsOneErrorEventNotTheSession)
 
 TEST(SvcServer, OversizedLineClosesTheSessionButNotTheServer)
 {
-    LiveServer live("svc_oversized", inlineOptions());
+    LiveServer live("svc_oversized");
     ASSERT_TRUE(live.started);
     Client bad = live.connect();
     std::string err;
@@ -414,7 +413,7 @@ TEST(SvcServer, OversizedLineClosesTheSessionButNotTheServer)
 
 TEST(SvcServer, SubmittedRunMatchesADirectRunnerBitForBit)
 {
-    LiveServer live("svc_parity", inlineOptions());
+    LiveServer live("svc_parity");
     ASSERT_TRUE(live.started);
     Client c = live.connect();
     std::string err;
@@ -454,7 +453,7 @@ TEST(SvcServer, SubmittedRunMatchesADirectRunnerBitForBit)
 
 TEST(SvcServer, SecondClientWithTheSameSpecIsServedFromTheCache)
 {
-    LiveServer live("svc_cachehit", inlineOptions());
+    LiveServer live("svc_cachehit");
     ASSERT_TRUE(live.started);
     const std::string submit =
         "{\"cmd\":\"submit\",\"id\":\"s\","
@@ -482,7 +481,7 @@ TEST(SvcServer, SecondClientWithTheSameSpecIsServedFromTheCache)
 
 TEST(SvcServer, QuotaRejectsAreAllOrNothing)
 {
-    ServerOptions opts = inlineOptions();
+    ServerOptions opts;
     opts.limits.maxClientInflight = 1;
     LiveServer live("svc_quota", opts);
     ASSERT_TRUE(live.started);
@@ -507,7 +506,7 @@ TEST(SvcServer, QuotaRejectsAreAllOrNothing)
 
 TEST(SvcServer, DisconnectMidSweepOrphansTheWorkIntoTheCorpus)
 {
-    LiveServer live("svc_orphan", inlineOptions());
+    LiveServer live("svc_orphan");
     ASSERT_TRUE(live.started);
     std::string err;
     Event event;
@@ -528,7 +527,7 @@ TEST(SvcServer, DisconnectMidSweepOrphansTheWorkIntoTheCorpus)
     for (int attempt = 0;; ++attempt) {
         ASSERT_TRUE(c.sendLine("{\"cmd\":\"stats\"}", &err));
         ASSERT_TRUE(awaitEvent(c, "stats", event));
-        if (ev(event, "cache_size") == "1")
+        if (statNum(event, "cwsimd_cache_size") == 1.0)
             break;
         ASSERT_LT(attempt, 200) << "orphaned run never completed";
         ::usleep(10'000);
@@ -543,7 +542,7 @@ TEST(SvcServer, DisconnectMidSweepOrphansTheWorkIntoTheCorpus)
 
 TEST(SvcServer, ShutdownDrainsAndSaysGoodbye)
 {
-    LiveServer live("svc_shutdown", inlineOptions());
+    LiveServer live("svc_shutdown");
     ASSERT_TRUE(live.started);
     Client c = live.connect();
     std::string err;
@@ -566,15 +565,14 @@ TEST(SvcServer, ShutdownDrainsAndSaysGoodbye)
 
 TEST(SvcServer, DrainingServerRejectsNewSubmits)
 {
-    LiveServer live("svc_draining", inlineOptions());
+    LiveServer live("svc_draining");
     ASSERT_TRUE(live.started);
     Client a = live.connect();
     Client b = live.connect();
     std::string err;
     Event event;
     // Enough queued work that the drain stays open while session b
-    // talks to the server (the inline executor retires one unit per
-    // loop iteration).
+    // talks to the server (the one slot runs one unit at a time).
     ASSERT_TRUE(a.sendLine("{\"cmd\":\"submit\",\"id\":\"hold\"}",
                            &err));
     ASSERT_TRUE(awaitEvent(a, "accepted", event));
@@ -585,9 +583,9 @@ TEST(SvcServer, DrainingServerRejectsNewSubmits)
         ASSERT_TRUE(b.sendLine("{\"cmd\":\"stats\"}", &err));
         ASSERT_TRUE(awaitEvent(b, "stats", event));
     } while (ev(event, "draining") != "true");
-    ASSERT_GT(std::stoul(ev(event, "queued")) +
-                  std::stoul(ev(event, "running")),
-              0u)
+    ASSERT_GT(statNum(event, "cwsimd_queue_depth") +
+                  statNum(event, "cwsimd_runs_running"),
+              0.0)
         << "the hold sweep must still be in flight for the rejection "
            "below to be meaningful";
     // New work bounces: a draining server takes no new submits.
@@ -613,7 +611,6 @@ TEST(SvcServer, DrainingServerRejectsNewSubmits)
 TEST(SvcServer, IsolatedExecutorContainsACrashStorm)
 {
     ServerOptions opts;
-    opts.isolate = true;
     opts.slots = 2;
     opts.retries = 0; // every armed run dies deterministically; don't retry
     opts.timeoutSec = 60;
@@ -649,7 +646,6 @@ TEST(SvcServer, IsolatedExecutorContainsACrashStorm)
 TEST(SvcServer, IsolatedExecutorStreamsIntervalSamples)
 {
     ServerOptions opts;
-    opts.isolate = true;
     opts.slots = 1;
     opts.timeoutSec = 60;
     LiveServer live("svc_interval", opts);
@@ -680,25 +676,27 @@ TEST(SvcServer, IsolatedExecutorStreamsIntervalSamples)
     EXPECT_EQ(ev(event, "failed"), "0");
 }
 
-double
-statNum(const Event &event, const char *key)
-{
-    return std::strtod(ev(event, key).c_str(), nullptr);
-}
-
 TEST(SvcServer, StatsVerbCarriesTheMetricsRegistrySnapshot)
 {
-    LiveServer live("svc_stats", inlineOptions());
+    LiveServer live("svc_stats");
     ASSERT_TRUE(live.started);
     Client c = live.connect();
     std::string err;
     Event event;
     // A fresh daemon already exposes the registry in the stats event,
-    // alongside the legacy keys, with everything at zero — including
-    // pre-registered label series that have never fired.
+    // with everything at zero — including pre-registered label series
+    // that have never fired. The registry is the only copy of each
+    // counter: the protocol-v1 duplicates are gone.
     ASSERT_TRUE(c.sendLine("{\"cmd\":\"stats\"}", &err));
     ASSERT_TRUE(awaitEvent(c, "stats", event));
-    EXPECT_EQ(ev(event, "cache_size"), "0") << "legacy keys intact";
+    EXPECT_EQ(ev(event, "slots"), "1");
+    EXPECT_EQ(ev(event, "draining"), "false");
+    for (const char *gone : {"clients", "total_clients", "executed",
+                             "cache_hits", "deduped", "queued",
+                             "running", "cache_size"}) {
+        EXPECT_EQ(event.count(gone), 0u) << gone;
+    }
+    EXPECT_EQ(statNum(event, "cwsimd_cache_size"), 0.0);
     EXPECT_EQ(ev(event, "cwsimd_runs_executed_total"), "0");
     EXPECT_EQ(ev(event, "cwsimd_run_results_total_crash"), "0")
         << "zero-count series still export";
@@ -736,7 +734,7 @@ TEST(SvcServer, StatsVerbCarriesTheMetricsRegistrySnapshot)
 
 TEST(SvcServer, RunRecordsCarryTheQueueWaitSplit)
 {
-    LiveServer live("svc_queuems", inlineOptions());
+    LiveServer live("svc_queuems");
     ASSERT_TRUE(live.started);
     Client c = live.connect();
     std::string err;
@@ -767,7 +765,7 @@ TEST(SvcServer, RunRecordsCarryTheQueueWaitSplit)
 
 TEST(SvcServer, TraceEventsFileIsValidAndCoversEveryExecutedRun)
 {
-    ServerOptions opts = inlineOptions();
+    ServerOptions opts;
     const std::string tracePath =
         "/tmp/svc_trace." + std::to_string(::getpid()) + ".json";
     opts.traceEventsPath = tracePath;
@@ -870,7 +868,7 @@ TEST(SvcServer, TraceEventsFileIsValidAndCoversEveryExecutedRun)
 
 TEST(SvcServer, CorpusStreamsEveryCachedRecord)
 {
-    LiveServer live("svc_corpus", inlineOptions());
+    LiveServer live("svc_corpus");
     ASSERT_TRUE(live.started);
     Client c = live.connect();
     std::string err;

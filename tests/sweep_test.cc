@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +18,7 @@
 #include <unistd.h>
 
 #include "base/jsonl.hh"
+#include "base/str.hh"
 #include "mdp/dep_profile.hh"
 #include "obs/cpi_stack.hh"
 #include "obs/depprof.hh"
@@ -316,18 +316,40 @@ TEST(SweepCache, StaleAndPoisonedEntriesAreRecomputed)
                                         SpecPolicy::Naive));
 
     // Poison the cache: garbage, truncation, a record with a stale
-    // fingerprint (different scale), and one with an unknown schema.
+    // fingerprint (different scale), one with an unknown schema, and
+    // records whose envelope is malformed. The cache once read fp with
+    // sscanf("%llx") and scale unchecked, so a fingerprint with
+    // trailing junk hit under its hex prefix, "-1" was indexed under
+    // 2^64-1, and a scale of "4k" read as 0.
     {
         Runner other(9000);
         RunResult fake = other.run("129.compress", plan.jobs()[0].config);
         uint64_t staleFp = sweep::fingerprintRun(
             "129.compress", 9000, plan.jobs()[0].config);
+        std::string realFp = strfmt(
+            "%016llx",
+            static_cast<unsigned long long>(sweep::fingerprintRun(
+                "129.compress", 3000, plan.jobs()[0].config)));
+        const std::string fpAt = "\"fp\":\"0000000000000012\"";
+        const std::string scaleAt = "\"scale\":3000";
+        auto withEnvelope = [&](const std::string &fp,
+                                const std::string &scale) {
+            std::string line = sweep::runRecordLine(fake, 0x12, 3000);
+            line.replace(line.find(fpAt), fpAt.size(), "\"fp\":" + fp);
+            line.replace(line.find(scaleAt), scaleAt.size(),
+                         "\"scale\":" + scale);
+            return line;
+        };
         std::ofstream out(dir.path + "/runs.jsonl");
         out << "this is not json\n";
         out << "{\"v\":1,\"fp\":\"0123\",\"workload\":\"x\"\n";
         out << sweep::runRecordLine(fake, staleFp, 9000) << '\n';
         out << "{\"v\":999,\"fp\":\"00ff\",\"ok\":true}\n";
+        out << withEnvelope("\"" + realFp + "zz\"", "3000") << '\n';
+        out << withEnvelope("\"" + realFp + "\"", "\"4k\"") << '\n';
+        out << withEnvelope("\"-1\"", "3000") << '\n';
     }
+    EXPECT_EQ(sweep::fsckRunCache(dir.path).unparseable, 6u);
 
     SweepOptions opts;
     opts.jobs = 2;
@@ -449,7 +471,6 @@ TEST(SweepRecord, V3RoundTripsCpiStack)
     r.cpiSlots[size_t(obs::CpiCause::MemDepSquash)] = 1400;
     r.cpiSlots[size_t(obs::CpiCause::CacheMiss)] = 4000;
     ASSERT_EQ(r.cpiTotalSlots(), r.cycles * 8);
-    EXPECT_TRUE(r.hasCpiStack());
     EXPECT_DOUBLE_EQ(r.cpiFraction(obs::CpiCause::CacheMiss), 0.5);
 
     std::string line = sweep::runRecordLine(r, 0x1234ull, 3000);
@@ -465,24 +486,22 @@ TEST(SweepRecord, V3RoundTripsCpiStack)
     ASSERT_TRUE(sweep::runRecordParse(fields, parsed));
     expectSameResult(r, parsed);
 
-    // A v3 record missing any CPI field is malformed.
+    // The same fields relabeled v2 are rejected: only the current
+    // schema is read.
+    auto relabeled = fields;
+    relabeled["v"] = "2";
+    EXPECT_FALSE(sweep::runRecordParse(relabeled, parsed));
+
+    // A record missing any CPI field is malformed.
     fields.erase("cpi_window_full");
     EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
-
-    // But the same fields relabeled v2 parse fine — the CPI columns
-    // are simply unknown, signalled by commitWidth == 0.
-    fields["v"] = "2";
-    ASSERT_TRUE(sweep::runRecordParse(fields, parsed));
-    EXPECT_FALSE(parsed.hasCpiStack());
-    EXPECT_EQ(parsed.commitWidth, 0u);
-    EXPECT_TRUE(std::isnan(parsed.cpiFraction(obs::CpiCause::Exec)));
 }
 
 TEST(SweepRecord, V1RecordsStayReadable)
 {
-    // A record written before the schema gained host-profiling fields
-    // (run_record_version 1) must still parse, with the new fields
-    // defaulted, so bumping the schema never invalidates a warm cache.
+    // A record of the first schema (run_record_version 1, before the
+    // host-profiling fields) is no longer read: a cache holding one
+    // recomputes the run, and cwsim-report names the version.
     JsonObject obj;
     obj.add("v", static_cast<uint64_t>(1))
         .add("fp", std::string("00000000deadbeef"))
@@ -509,28 +528,25 @@ TEST(SweepRecord, V1RecordsStayReadable)
     std::map<std::string, std::string> fields;
     ASSERT_TRUE(parseFlatJson(obj.str(), fields));
     RunResult parsed;
-    ASSERT_TRUE(sweep::runRecordParse(fields, parsed));
-    EXPECT_TRUE(parsed.ok);
-    EXPECT_EQ(parsed.cycles, 4321u);
-    EXPECT_EQ(parsed.commits, 3000u);
-    EXPECT_DOUBLE_EQ(parsed.falseDepLatency, 17.5);
-    // New fields come back defaulted.
-    EXPECT_DOUBLE_EQ(parsed.wallMs, 0.0);
-    EXPECT_DOUBLE_EQ(parsed.simCyclesPerSec(), 0.0);
-    EXPECT_FALSE(parsed.cacheHit);
-    EXPECT_TRUE(parsed.diagnostic.empty());
-    // ... including the v3 CPI stack, whose absence is marked by
-    // commitWidth == 0 ("unknown"), never zero-loss.
-    EXPECT_FALSE(parsed.hasCpiStack());
+    EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
+    // Relabeling it v5 does not help: every v5 field is required.
+    fields["v"] = "5";
+    EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
 
     // A signed counter is malformed, not 2^64-1.
+    RunResult r;
+    r.workload = "129.compress";
+    r.cycles = 4321;
+    ASSERT_TRUE(parseFlatJson(sweep::runRecordLine(r, 0xbeef, 3000),
+                              fields));
+    ASSERT_TRUE(sweep::runRecordParse(fields, parsed));
     fields["cycles"] = "-1";
     EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
     fields["cycles"] = "+4321";
     EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
     fields["cycles"] = "4321";
 
-    // Unknown future versions are still rejected outright.
+    // Unknown future versions are rejected too.
     fields["v"] = "9";
     EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
 }
@@ -565,13 +581,10 @@ TEST(SweepRecord, V4RoundTripsFailureTaxonomy)
     broken["fail_kind"] = "exploded";
     EXPECT_FALSE(sweep::runRecordParse(broken, parsed));
 
-    // ...but the same fields relabeled v3 parse fine, with the kind
-    // derived from ok: pre-isolation failures were all sim_errors.
+    // ...and so are the same fields relabeled v3: only the current
+    // schema is read.
     fields["v"] = "3";
-    ASSERT_TRUE(sweep::runRecordParse(fields, parsed));
-    EXPECT_EQ(parsed.failKind, harness::FailKind::SimError);
-    EXPECT_TRUE(parsed.failDetail.empty());
-    EXPECT_FALSE(parsed.injectedHostFault);
+    EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
 }
 
 TEST(SweepRecord, V5RoundTripsDependenceProfileSummary)
@@ -617,14 +630,10 @@ TEST(SweepRecord, V5RoundTripsDependenceProfileSummary)
     broken["dep_profiled"] = "maybe";
     EXPECT_FALSE(sweep::runRecordParse(broken, parsed));
 
-    // The same fields relabeled v4 parse fine: the summary columns
-    // are unknown to that schema, so they come back defaulted.
+    // The same fields relabeled v4 are rejected: only the current
+    // schema is read.
     fields["v"] = "4";
-    ASSERT_TRUE(sweep::runRecordParse(fields, parsed));
-    EXPECT_FALSE(parsed.depProfiled);
-    EXPECT_EQ(parsed.depLoads, 0u);
-    EXPECT_EQ(parsed.depEdges, 0u);
-    EXPECT_TRUE(parsed.depHotEdges.empty());
+    EXPECT_FALSE(sweep::runRecordParse(fields, parsed));
 }
 
 TEST(FailKindTest, NamesRoundTrip)
@@ -983,6 +992,23 @@ TEST(BenchCliTest, RejectsSignedCounts)
     }
 }
 
+TEST(BenchCliTest, RejectsNonFiniteOrPaddedSeconds)
+{
+    // "--timeout inf" used to be accepted, and every isolated run then
+    // died as timeout(wall-clock infs): the deadline's int64 cast
+    // overflowed. Whitespace, hex and out-of-range values were taken
+    // by strtod as well.
+    for (const char *bad : {"inf", "nan", "-0", " 2", "0x10", "1e300",
+                            "2s", ""}) {
+        const char *argv[] = {"bench", "--timeout", bad};
+        EXPECT_EXIT(sweep::parseBenchArgs(3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1),
+                    "not a non-negative number of seconds")
+            << "'" << bad << "'";
+    }
+
+}
+
 TEST(BenchCliTest, ParsesTracingFlags)
 {
     const char *argv[] = {"bench",         "--trace",    "MDP,Recovery",
@@ -1090,9 +1116,11 @@ TEST(BenchCliTest, IsolationFlagsReadEnvDefaults)
     EXPECT_EQ(opts.retries, 0u);
 
     // Malformed env values warn and fall back, like every CWSIM knob.
-    setenv("CWSIM_TIMEOUT", "soon", 1);
-    opts = sweep::parseBenchArgs(1, const_cast<char **>(bare));
-    EXPECT_DOUBLE_EQ(opts.timeoutSec, 0.0);
+    for (const char *bad : {"soon", "inf", " 2", "1e300"}) {
+        setenv("CWSIM_TIMEOUT", bad, 1);
+        opts = sweep::parseBenchArgs(1, const_cast<char **>(bare));
+        EXPECT_DOUBLE_EQ(opts.timeoutSec, 0.0) << "'" << bad << "'";
+    }
 
     unsetenv("CWSIM_ISOLATE");
     unsetenv("CWSIM_TIMEOUT");

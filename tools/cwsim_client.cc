@@ -245,17 +245,16 @@ main(int argc, char **argv)
                              field(ev, "queued").c_str());
             }
         } else if (kind == "run") {
-            // Rebuild the canonical record line (envelope stripped)
+            // Rebuild the canonical record line (event keys stripped)
             // so a --json export is byte-compatible with the bench
-            // CLI's: runRecordParse ignores the envelope fields.
+            // CLI's: the record parser ignores the event keys.
             cwsim::harness::RunResult r;
             uint64_t seq = 0, total = 0, fp = 0, recScale = 0;
             if (cwsim::parseUnsigned(field(ev, "seq"), seq) &&
                 cwsim::parseUnsigned(field(ev, "total"), total) &&
                 seq < total &&
-                cwsim::parseUnsigned(field(ev, "fp"), fp, 16) &&
-                cwsim::parseUnsigned(field(ev, "scale"), recScale) &&
-                cwsim::sweep::runRecordParse(ev, r)) {
+                cwsim::sweep::runRecordParseWithEnvelope(ev, r, fp,
+                                                         recScale)) {
                 if (records.size() <= seq)
                     records.resize(seq + 1);
                 records[seq] =

@@ -92,9 +92,9 @@ fmtMs(double ms)
 
 /**
  * The live dashboard behind --connect --status: one stats round-trip
- * rendered as markdown. Everything shown comes from the daemon's
- * metrics registry (plus the legacy stats fields), so this doubles as
- * a smoke test that the registry snapshot is coherent.
+ * rendered as markdown. Everything shown but the draining flag comes
+ * from the daemon's metrics registry, so this doubles as a smoke test
+ * that the registry snapshot is coherent.
  */
 int
 renderStatus(const std::string &socketPath, const std::string &outPath)
@@ -218,7 +218,7 @@ load(const std::string &path,
 /**
  * Pull every corpus record from a running cwsimd over its Unix
  * socket. The daemon streams them as corpus_record events — one run
- * record wrapped in an event envelope, which runRecordParse ignores —
+ * record plus an "ev" key, which the record parser ignores —
  * terminated by corpus_done.
  */
 bool
@@ -259,19 +259,14 @@ fetchCorpus(const std::string &socketPath,
         if (kind->second != "corpus_record")
             continue;
         cwsim::sweep::ReportRecord rec;
-        if (!cwsim::sweep::runRecordParse(ev, rec.run)) {
+        uint64_t fp = 0;
+        if (!cwsim::sweep::runRecordParseWithEnvelope(ev, rec.run, fp,
+                                                      rec.scale)) {
             ++rejected;
             continue;
         }
-        auto fp = ev.find("fp");
-        if (fp != ev.end())
-            rec.fp = fp->second;
-        auto scale = ev.find("scale");
-        if (scale != ev.end() &&
-            !cwsim::parseUnsigned(scale->second, rec.scale)) {
-            ++rejected;
-            continue;
-        }
+        rec.fp = cwsim::strfmt("%016llx",
+                               static_cast<unsigned long long>(fp));
         out.push_back(std::move(rec));
     }
     if (rejected > 0) {

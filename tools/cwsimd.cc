@@ -60,8 +60,6 @@ usage(const char *argv0, std::FILE *out)
         "  --timeout S      wall-clock deadline per run, seconds\n"
         "  --mem-limit MB   address-space cap per run, MiB\n"
         "  --retries N      retries for host-level run failures\n"
-        "  --inline         execute runs on the server thread instead\n"
-        "                   of forked slots (tests; no containment)\n"
         "  --max-queued N   bounded admission queue (default 1024)\n"
         "  --quota N        per-client in-flight run cap (default 512)\n"
         "  --metrics-file P dump Prometheus text exposition to P\n"
@@ -83,6 +81,18 @@ parseU64(const char *flag, const char *text)
     if (!cwsim::parseUnsigned(text, v)) {
         std::fprintf(stderr, "cwsimd: %s: not a number: '%s'\n", flag,
                      text);
+        std::exit(2);
+    }
+    return v;
+}
+
+double
+parseSecondsArg(const char *flag, const char *text)
+{
+    double v = 0;
+    if (!cwsim::parseSeconds(text, v)) {
+        std::fprintf(stderr, "cwsimd: %s: not a number of seconds: "
+                             "'%s'\n", flag, text);
         std::exit(2);
     }
     return v;
@@ -117,8 +127,8 @@ main(int argc, char **argv)
         } else if (arg == "--metrics-file") {
             opts.metricsPath = value("--metrics-file");
         } else if (arg == "--metrics-interval") {
-            opts.metricsPeriodSec =
-                std::strtod(value("--metrics-interval"), nullptr);
+            opts.metricsPeriodSec = parseSecondsArg(
+                "--metrics-interval", value("--metrics-interval"));
             if (opts.metricsPeriodSec <= 0) {
                 std::fprintf(stderr, "cwsimd: --metrics-interval "
                                      "must be positive\n");
@@ -137,15 +147,13 @@ main(int argc, char **argv)
             opts.defaultScale = parseU64("--scale", value("--scale"));
         } else if (arg == "--timeout") {
             opts.timeoutSec =
-                std::strtod(value("--timeout"), nullptr);
+                parseSecondsArg("--timeout", value("--timeout"));
         } else if (arg == "--mem-limit") {
             opts.memLimitMb =
                 parseU64("--mem-limit", value("--mem-limit"));
         } else if (arg == "--retries") {
             opts.retries = static_cast<unsigned>(
                 parseU64("--retries", value("--retries")));
-        } else if (arg == "--inline") {
-            opts.isolate = false;
         } else if (arg == "--max-queued") {
             opts.limits.maxQueued =
                 parseU64("--max-queued", value("--max-queued"));
