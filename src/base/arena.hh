@@ -1,16 +1,15 @@
 /**
  * @file
  * A bump-pointer arena for per-run heap churn, plus an STL allocator
- * adaptor so node-based containers (std::set, std::unordered_map) and
- * small vectors can draw from it.
+ * adaptor so node-based containers (std::unordered_map) and small
+ * vectors can draw from it.
  *
- * The simulator's hot allocations are all transient per-instruction
- * bookkeeping: store-buffer ordering sets and synonym lists,
- * byte-index lists. They are created and destroyed
- * millions of times per run but none outlive the Processor that owns
- * them. An arena turns each of those malloc/free pairs into a pointer
- * bump and a no-op: memory is reclaimed wholesale by reset() between
- * runs, when no arena-backed object is alive.
+ * Its one client is the data cache's MSHR map: a node and a target
+ * list per outstanding miss, created and destroyed millions of times
+ * per run, none outliving the Processor that owns them. An arena turns
+ * each of those malloc/free pairs into a pointer bump and a no-op:
+ * memory is reclaimed wholesale by reset() between runs, when no
+ * arena-backed object is alive.
  *
  * Lifetime rules (see DESIGN.md §15):
  *  - runArena() returns this thread's arena; sweep workers are
@@ -29,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -178,9 +176,6 @@ class ArenaAlloc
 /** Containers bound to the current thread's run arena by default. */
 template <class T>
 using ArenaVec = std::vector<T, ArenaAlloc<T>>;
-
-template <class T, class Cmp = std::less<T>>
-using ArenaSet = std::set<T, Cmp, ArenaAlloc<T>>;
 
 template <class K, class V, class Hash = std::hash<K>>
 using ArenaMap = std::unordered_map<K, V, Hash, std::equal_to<K>,

@@ -1,14 +1,16 @@
 /**
  * @file
  * A fixed-capacity bitmap over the stable slot indices of a
- * CircularQueue, used to iterate sparse subsets (e.g. the not-yet-done
- * instructions of the window) in age order without scanning every
- * slot.
+ * CircularQueue, used to iterate sparse subsets (e.g. the ready
+ * instructions of the window, or its memory-issued loads) in age
+ * order without scanning every slot.
  *
- * Iteration walks set bits with one find-first-set per 64 slots, and
- * is safe against arbitrary concurrent set/clear of bits at positions
- * other than the one being advanced from: each step re-reads the words
- * from scratch.
+ * A queue whose head sits at slot h holds its elements oldest first
+ * in slots [h, cap), then, wrapped, in [0, h); firstInAge/nextInAge
+ * walk the set bits in that order. Iteration uses one find-first-set
+ * per 64 slots, and is safe against arbitrary concurrent set/clear of
+ * bits at positions other than the one being advanced from: each step
+ * re-reads the words from scratch.
  */
 
 #ifndef CWSIM_BASE_SLOT_BITMAP_HH
@@ -101,7 +103,40 @@ class SlotBitmap
         }
     }
 
+    /**
+     * The oldest set bit of a queue whose head is slot @p head: the
+     * first in [head, cap), else the first in [0, head); npos if none.
+     */
+    size_t
+    firstInAge(size_t head) const
+    {
+        return orWrapped(nextSet(head), head);
+    }
+
+    /**
+     * The set bit after @p after in age order from @p head (see
+     * firstInAge), or npos. @p after need not be set any more.
+     */
+    size_t
+    nextInAge(size_t after, size_t head) const
+    {
+        size_t idx = nextSet(after + 1);
+        if (after < head)
+            return idx < head ? idx : npos;
+        return orWrapped(idx, head);
+    }
+
   private:
+    /** @p idx from a search of [x, cap), x >= head; else wrap. */
+    size_t
+    orWrapped(size_t idx, size_t head) const
+    {
+        if (idx != npos || head == 0)
+            return idx;
+        idx = nextSet(0);
+        return idx < head ? idx : npos;
+    }
+
     size_t cap;
     std::vector<uint64_t> words;
 };

@@ -107,18 +107,25 @@ parseUnsigned(std::string_view text, uint64_t &out, unsigned base,
 }
 
 bool
-parseSeconds(std::string_view text, double &out)
+parseDouble(std::string_view text, double &out)
 {
     // from_chars takes no whitespace, '+' or hex prefix; the checks
-    // below reject what else it accepts: "inf", "nan", a '-' sign
-    // (even on zero) and overflow.
+    // below reject what else it accepts: "inf", "nan" and overflow.
     double v = 0;
     const char *end = text.data() + text.size();
     auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
-        std::signbit(v) || v > max_seconds) {
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
         return false;
-    }
+    out = v;
+    return true;
+}
+
+bool
+parseSeconds(std::string_view text, double &out)
+{
+    double v = 0;
+    if (!parseDouble(text, v) || std::signbit(v) || v > max_seconds)
+        return false;
     out = v;
     return true;
 }

@@ -52,16 +52,25 @@ bool parseUnsigned(std::string_view text, uint64_t &out,
                    unsigned base = 10,
                    uint64_t max = std::numeric_limits<uint64_t>::max());
 
+/**
+ * Parse @p text as a finite decimal floating-point number ("-2",
+ * "0.5", "1e3"): the whole string — no whitespace, '+' sign, hex,
+ * "inf", "nan", trailing junk or overflow. The one float parser
+ * behind every config, assembly, record and profile reader.
+ * @return false, leaving @p out untouched, when @p text is not such a
+ * number.
+ */
+bool parseDouble(std::string_view text, double &out);
+
 /** The longest duration parseSeconds() accepts (about 31 years). */
 constexpr double max_seconds = 1e9;
 
 /**
- * Parse @p text as a duration in seconds: a decimal number ("2",
- * "0.5", "1e3") that is finite, not negative and at most
- * max_seconds, so a deadline in microseconds always fits an int64 —
- * no sign, whitespace, hex, "inf", "nan" or trailing junk. The one
- * seconds parser behind every CLI flag and environment knob that
- * takes a duration; callers that need a positive value reject 0
+ * Parse @p text as a duration in seconds: a parseDouble() number
+ * that is not negative (no '-' sign, even on zero) and at most
+ * max_seconds, so a deadline in microseconds always fits an int64.
+ * The one seconds parser behind every CLI flag and environment knob
+ * that takes a duration; callers that need a positive value reject 0
  * themselves. @return false, leaving @p out untouched, when @p text
  * is not such a number.
  */

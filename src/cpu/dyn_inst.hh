@@ -79,8 +79,6 @@ struct DynInst
      * cannot distinguish which bytes a partial forward covered.
      */
     std::array<InstSeqNum, 8> loadByteSource{};
-    /** This load is registered in the processor's loadBytes index. */
-    bool bytesIndexed = false;
     int sbSlot = -1;               ///< Store-buffer slot for stores.
     /** Ambiguous older stores existed when this load issued. */
     bool speculativeLoad = false;

@@ -87,6 +87,7 @@ Processor::Processor(const SimConfig &cfg, const Program &program,
       readyBits(cfg.core.windowSize), parkedBits(cfg.core.windowSize),
       unpostedWaiters(cfg.core.windowSize),
       storeWaiters(cfg.core.storeBufferSize),
+      issuedLoads(cfg.core.windowSize),
       consumers(cfg.core.windowSize), fetchPc(0),
       fetchHalted(false), fetchStalledOnSeq(0), memPortsLeft(0),
       lsqInPortsLeft(0), cycle(0), nextSeq(1), nextFetchTraceIdx(0),
@@ -357,7 +358,7 @@ Processor::doCommit()
                 dprof->noteStoreCommit(head.pc);
         }
         if (head.isLoad()) {
-            deindexLoadBytes(head);
+            issuedLoads.clear(rob.slotOf(head));
             ++pstats.committedLoads;
             if (head.fdEvaluated) {
                 if (head.fdIsFalse) {
@@ -785,24 +786,6 @@ Processor::findInst(InstSeqNum seq)
     return nullptr;
 }
 
-void
-Processor::indexLoadBytes(DynInst &inst)
-{
-    panic_if(inst.bytesIndexed, "load double-indexed");
-    loadBytes.add(inst.effAddr, inst.memSize, inst.seq,
-                  rob.slotOf(inst));
-    inst.bytesIndexed = true;
-}
-
-void
-Processor::deindexLoadBytes(DynInst &inst)
-{
-    if (!inst.bytesIndexed)
-        return;
-    loadBytes.remove(inst.effAddr, inst.memSize, inst.seq);
-    inst.bytesIndexed = false;
-}
-
 bool
 Processor::loadHasStaleByteFrom(const DynInst &load,
                                 const SbEntry &entry) const
@@ -1020,8 +1003,7 @@ Processor::squashYoungerThan(InstSeqNum keep_seq, Addr restart_pc,
         readyBits.clear(slot);
         parkedBits.clear(slot);
         unpostedWaiters.clear(slot);
-        if (inst.isLoad())
-            deindexLoadBytes(inst);
+        issuedLoads.clear(slot);
         if (inst.renamedDest) {
             RegMapEntry &rm = regMap[inst.si.rd];
             rm.busy = inst.prevDestBusy;

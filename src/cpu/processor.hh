@@ -26,7 +26,6 @@
 #include <set>
 #include <vector>
 
-#include "base/byte_index.hh"
 #include "base/circular_queue.hh"
 #include "base/sim_error.hh"
 #include "base/slot_bitmap.hh"
@@ -197,6 +196,13 @@ class Processor
     std::string machineStateDump() const;
 
   private:
+    /** A window instruction by slot and seq, validated at use. */
+    struct ConsumerRef
+    {
+        size_t slot = 0;
+        InstSeqNum seq = 0;
+    };
+
     // ---- pipeline phases (called once per cycle, in this order) ----
     void tick();
     void doCommit();
@@ -264,10 +270,10 @@ class Processor
 
     /**
      * The violation walk of both LSQ models: recover every younger
-     * load that read a byte @p entry (just executed) should have
+     * load that read a byte @p store (just executed) should have
      * supplied.
      */
-    void checkViolations(const SbEntry &entry);
+    void checkViolations(const DynInst &store);
     void trainPredictors(const DynInst &load, const SbEntry &store);
     void replayLoad(DynInst &inst);
 
@@ -282,10 +288,13 @@ class Processor
     /** Did any byte of @p load forward from store @p store_seq? */
     bool loadForwardedFrom(const DynInst &load,
                            InstSeqNum store_seq) const;
-    /** Register an issued load's bytes in the loadBytes index. */
-    void indexLoadBytes(DynInst &inst);
-    /** Remove a load from loadBytes (replay / squash / commit). */
-    void deindexLoadBytes(DynInst &inst);
+    /**
+     * Fill @p out with the memory-issued loads younger than the
+     * instruction in ROB slot @p from whose bytes overlap
+     * [addr, addr+size), oldest first.
+     */
+    void youngerLoadsReading(size_t from, Addr addr, unsigned size,
+                             std::vector<ConsumerRef> &out) const;
 
     /**
      * Selective invalidation: re-execute the violated load and,
@@ -414,17 +423,10 @@ class Processor
     };
     std::array<RegMapEntry, num_arch_regs> regMap;
 
-    /** A window instruction by slot and seq, validated at use. */
-    struct ConsumerRef
-    {
-        size_t slot = 0;
-        InstSeqNum seq = 0;
-    };
-
     /**
      * The instruction window: DynInst records in program order, each
      * at a stable slot while resident. Index structures (consumer
-     * lists, loadBytes, the ready set) refer to instructions by slot.
+     * lists, the slot bitmaps) refer to instructions by slot.
      */
     CircularQueue<DynInst> rob;
     StoreBuffer sb;
@@ -458,13 +460,12 @@ class Processor
     std::vector<std::vector<ConsumerRef>> storeWaiters;
 
     /**
-     * Bytes read by in-flight memory-issued loads, by age. Replaces
-     * the full-window sweep of the violation checks: a store that
-     * executes asks for the younger loads that read any byte it
-     * writes. Entries reference ROB slots; validated against seq at
-     * visit time (squash truncation leaves dead slots behind).
+     * The memory-issued loads in the window: set when a load accesses
+     * memory, cleared when it commits, is squashed or replays. A store
+     * that executes walks the bits younger than itself, in age order,
+     * for the loads that read any byte it writes.
      */
-    ByteSeqIndex loadBytes;
+    SlotBitmap issuedLoads;
 
     /**
      * Per-producer consumer (wakeup) lists, indexed by the producer's
@@ -477,7 +478,7 @@ class Processor
     std::vector<std::vector<ConsumerRef>> consumers;
 
     /** Scratch for violation-check candidate collection. */
-    std::vector<ByteSeqIndex::Ref> checkScratch;
+    std::vector<ConsumerRef> checkScratch;
 
     // ---- fetch state ------------------------------------------------------
     struct FetchedInst

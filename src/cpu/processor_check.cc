@@ -199,7 +199,7 @@ Processor::heavyInvariants()
         }
     }
 
-    // The store buffer's own incremental indexes against a rebuild.
+    // The store buffer's orders, bitmaps and lists against a rebuild.
     {
         std::string complaint = sb.selfCheck(cycle);
         if (!complaint.empty()) {
@@ -214,9 +214,11 @@ Processor::heavyInvariants()
     // operand its next action needs or is a parked load the gate
     // still refuses. A parked load waiting for an unposted address
     // must still have one ahead of it, or its wake has been missed.
+    // The issued-load set holds exactly the memory-issued loads.
     size_t live_ready = 0;
     size_t live_parked = 0;
     size_t live_unposted = 0;
+    size_t live_issued = 0;
     for (size_t i = 0; i < rob.size(); ++i) {
         const DynInst &inst = rob.at(i);
         size_t slot = rob.slotOf(inst);
@@ -225,9 +227,11 @@ Processor::heavyInvariants()
         bool ready = readyBits.test(slot);
         bool parked = parkedBits.test(slot);
         bool unposted = unpostedWaiters.test(slot);
+        bool issued_load = issuedLoads.test(slot);
         live_ready += ready;
         live_parked += parked;
         live_unposted += unposted;
+        live_issued += issued_load;
         auto fail = [&](const char *what) {
             checkFail(SimErrorKind::Invariant,
                       strfmt("issue set: seq %llu %s (done %d, issued %d, "
@@ -244,6 +248,11 @@ Processor::heavyInvariants()
             fail("is parked but not a load");
         if (unposted && (!parked || !sb.unpostedOlderThan(inst.seq)))
             fail("waits for an unposted address it does not need");
+        if (issued_load != (inst.isLoad() && inst.memIssued))
+            fail(issued_load ? "is in the issued-load set but is not "
+                               "a memory-issued load"
+                             : "is a memory-issued load outside the "
+                               "issued-load set");
         if (pending && !ready && issueReady(inst)) {
             if (!parked)
                 fail("could act but is neither ready nor parked");
@@ -253,60 +262,16 @@ Processor::heavyInvariants()
     }
     if (readyBits.count() != live_ready ||
         parkedBits.count() != live_parked ||
-        unpostedWaiters.count() != live_unposted) {
+        unpostedWaiters.count() != live_unposted ||
+        issuedLoads.count() != live_issued) {
         checkFail(SimErrorKind::Invariant,
                   strfmt("issue set holds bits on dead slots (ready "
-                         "%zu/%zu, parked %zu/%zu, unposted %zu/%zu)",
+                         "%zu/%zu, parked %zu/%zu, unposted %zu/%zu, "
+                         "issued loads %zu/%zu)",
                          readyBits.count(), live_ready,
                          parkedBits.count(), live_parked,
-                         unpostedWaiters.count(), live_unposted));
-    }
-
-    // The issued-load byte index must cover exactly the memory-issued
-    // in-flight loads, byte for byte, and agree with its own redundant
-    // structures.
-    size_t expected_bytes = 0;
-    for (size_t i = 0; i < rob.size(); ++i) {
-        const DynInst &inst = rob.at(i);
-        bool indexed = inst.isLoad() && inst.memIssued;
-        if (inst.bytesIndexed != indexed) {
-            checkFail(SimErrorKind::Invariant,
-                      strfmt("load-byte index flag %d but load seq %llu "
-                             "is %smemory-issued",
-                             inst.bytesIndexed,
-                             static_cast<unsigned long long>(inst.seq),
-                             indexed ? "" : "not "));
-        }
-        if (!indexed)
-            continue;
-        expected_bytes += inst.memSize;
-        size_t slot = rob.slotOf(inst);
-        for (unsigned b = 0; b < inst.memSize; ++b) {
-            ByteSeqIndex::Ref ref;
-            if (!loadBytes.newestBefore(inst.effAddr + b, inst.seq + 1,
-                                        ref) ||
-                ref.seq != inst.seq || ref.slot != slot) {
-                checkFail(SimErrorKind::Invariant,
-                          strfmt("load-byte index misses byte %u of "
-                                 "load seq %llu",
-                                 b,
-                                 static_cast<unsigned long long>(
-                                     inst.seq)));
-            }
-        }
-    }
-    if (loadBytes.size() != expected_bytes) {
-        checkFail(SimErrorKind::Invariant,
-                  strfmt("load-byte index holds %zu bytes, window "
-                         "accounts for %zu",
-                         loadBytes.size(), expected_bytes));
-    }
-    {
-        std::string complaint = loadBytes.selfCheck();
-        if (!complaint.empty()) {
-            checkFail(SimErrorKind::Invariant,
-                      "load-byte index: " + complaint);
-        }
+                         unpostedWaiters.count(), live_unposted,
+                         issuedLoads.count(), live_issued));
     }
 
     // Consumer lists: every in-flight consumer naming an in-flight

@@ -26,33 +26,20 @@ Processor::doIssue()
         return;
 
     // Walk the ready set in age order instead of scanning every
-    // window entry. The window occupies slots [head, head+count) with
-    // wraparound and bits exist only on live slots, so the [head, cap)
-    // segment holds the older part and [0, head) the wrapped younger
-    // part. The head cannot move during issue (commit already ran this
-    // cycle), and every in-visit mutation — a squash clearing bits, a
-    // selective replay or a wake setting bits — only touches
+    // window entry. The head cannot move during issue (commit already
+    // ran this cycle), and every in-visit mutation — a squash clearing
+    // bits, a selective replay or a wake setting bits — only touches
     // instructions younger than the one being visited, i.e. positions
-    // the walk has not reached; nextSet re-reads the words, so the
+    // the walk has not reached; nextInAge re-reads the words, so the
     // historical full-scan semantics are preserved exactly. An
     // instruction outside the set would do nothing if visited, so
     // skipping it leaves every issue decision unchanged.
     size_t head = rob.slotOf(rob.front());
-    bool wrapped = false;
-    size_t s = readyBits.nextSet(head);
-    while (slots > 0) {
-        if (s == SlotBitmap::npos || (wrapped && s >= head)) {
-            if (wrapped)
-                break;
-            wrapped = true;
-            s = readyBits.nextSet(0);
-            continue;
-        }
+    for (size_t s = readyBits.firstInAge(head);
+         slots > 0 && s != SlotBitmap::npos;
+         s = readyBits.nextInAge(s, head)) {
         ++issueVisitCount;
         tryIssue(rob.slot(s), slots);
-        // Advance only after the visit: a selective replay inside it
-        // may have set a bit between this slot and the next.
-        s = readyBits.nextSet(s + 1);
     }
 }
 
@@ -222,14 +209,11 @@ Processor::wakeUnpostedWaiters()
     // Oldest first, stopping at the first waiter an unposted store
     // still precedes: it precedes every younger waiter too.
     size_t head = rob.slotOf(rob.front());
-    for (size_t from : {head, size_t{0}}) {
-        for (size_t s = unpostedWaiters.nextSet(from);
-             s != SlotBitmap::npos && (from == head || s < head);
-             s = unpostedWaiters.nextSet(s + 1)) {
-            if (sb.unpostedOlderThan(rob.slot(s).seq))
-                return;
-            markReady(s);
-        }
+    for (size_t s = unpostedWaiters.firstInAge(head);
+         s != SlotBitmap::npos; s = unpostedWaiters.nextInAge(s, head)) {
+        if (sb.unpostedOlderThan(rob.slot(s).seq))
+            return;
+        markReady(s);
     }
 }
 
@@ -336,27 +320,21 @@ Processor::assembleLoadBytes(Addr addr, unsigned size,
                              InstSeqNum load_seq,
                              InstSeqNum *byte_sources) const
 {
-    // Per byte: the youngest older store with valid data covering it
-    // (one indexed lookup), else architectural memory. When the caller
-    // passes @p byte_sources (size elements), each byte's forwarding
-    // store seq is recorded (0 = memory) — the violation checks test
+    // Per byte: the youngest older store with valid data covering it,
+    // else architectural memory. When the caller passes
+    // @p byte_sources (size elements), each byte's forwarding store
+    // seq is recorded (0 = memory) — the violation checks test
     // staleness byte-wise against these.
     uint64_t value = 0;
+    unsigned forwarded =
+        sb.forward(addr, size, load_seq, value, byte_sources);
     for (unsigned i = 0; i < size; ++i) {
-        Addr byte_addr = addr + i;
-        ByteSeqIndex::Ref src;
-        if (sb.newestDataBefore(byte_addr, load_seq, src)) {
-            value |= static_cast<uint64_t>(
-                         sb.slot(src.slot).byteAt(byte_addr))
-                     << (8 * i);
-            if (byte_sources)
-                byte_sources[i] = src.seq;
-        } else {
-            value |= static_cast<uint64_t>(funcMem.read8(byte_addr))
-                     << (8 * i);
-            if (byte_sources)
-                byte_sources[i] = 0;
-        }
+        if (forwarded >> i & 1)
+            continue;
+        value |= static_cast<uint64_t>(funcMem.read8(addr + i))
+                 << (8 * i);
+        if (byte_sources)
+            byte_sources[i] = 0;
     }
     return value;
 }
@@ -421,10 +399,10 @@ Processor::executeLoad(DynInst &inst)
     for (unsigned i = 0; i < inst.memSize; ++i)
         inst.loadByteSource[i] = sources[i];
     inst.result = exec::loadExtend(inst.si, raw);
-    indexLoadBytes(inst);
     // Issued: completion arrives through the event queue; violation
-    // checks reach the load through loadBytes, not the issue walk.
+    // checks reach the load through issuedLoads, not the issue walk.
     readyBits.clear(rob.slotOf(inst));
+    issuedLoads.set(rob.slotOf(inst));
     CWSIM_TRACE(Issue, "load seq %llu pc 0x%llx addr 0x%llx%s%s%s",
                 static_cast<unsigned long long>(inst.seq),
                 static_cast<unsigned long long>(inst.pc),
@@ -444,7 +422,7 @@ void
 Processor::replayLoad(DynInst &inst)
 {
     unbroadcast(inst);
-    deindexLoadBytes(inst);
+    issuedLoads.clear(rob.slotOf(inst));
     ++inst.epoch; // invalidate any in-flight completion
     inst.issued = false;
     inst.memIssued = false;
@@ -542,7 +520,7 @@ Processor::storeBecameExecuted(DynInst &inst, SbEntry &entry)
         // loads can, but a control squash discards them before they
         // commit, and flagging them here would charge the idealized
         // oracle with violations it never architecturally commits.
-        checkViolations(entry);
+        checkViolations(inst);
     }
 
     // Fault injection rides AFTER real violation detection so a genuine
@@ -577,7 +555,21 @@ Processor::trainPredictors(const DynInst &load, const SbEntry &store)
 }
 
 void
-Processor::checkViolations(const SbEntry &entry)
+Processor::youngerLoadsReading(size_t from, Addr addr, unsigned size,
+                                std::vector<ConsumerRef> &out) const
+{
+    out.clear();
+    size_t head = rob.slotOf(rob.front());
+    for (size_t s = issuedLoads.nextInAge(from, head);
+         s != SlotBitmap::npos; s = issuedLoads.nextInAge(s, head)) {
+        const DynInst &load = rob.slot(s);
+        if (rangesOverlap(load.effAddr, load.memSize, addr, size))
+            out.push_back(ConsumerRef{s, load.seq});
+    }
+}
+
+void
+Processor::checkViolations(const DynInst &store)
 {
     // Every younger load that read a value this store should have
     // supplied, oldest first. One store can violate several
@@ -586,29 +578,20 @@ Processor::checkViolations(const SbEntry &entry)
     // the younger victims keep their stale values forever (this store
     // never re-executes to re-check them).
     //
-    // Candidates come from the loadBytes index (the younger issued
-    // loads reading any byte this store writes) instead of a window
-    // sweep; each is re-validated at visit time because a recovery for
-    // an older victim can reset or squash later ones. The byte-wise
-    // source test catches loads that forwarded only part of their
-    // bytes from a younger store.
-    checkScratch.clear();
-    loadBytes.collectYoungerThan(entry.addr, entry.size, entry.seq,
-                                 checkScratch);
-    if (checkScratch.empty())
-        return;
-    std::sort(checkScratch.begin(), checkScratch.end(),
-              [](const ByteSeqIndex::Ref &a, const ByteSeqIndex::Ref &b)
-              { return a.seq < b.seq; });
-    InstSeqNum visited = 0;
-    for (const ByteSeqIndex::Ref &ref : checkScratch) {
-        if (ref.seq == visited)
-            continue; // one ref per byte read; visit each load once
-        visited = ref.seq;
+    // Candidates are the younger memory-issued loads reading any byte
+    // this store writes, collected before any recovery runs; each is
+    // re-validated at visit time because a recovery for an older
+    // victim can reset or squash later ones. The byte-wise source
+    // test catches loads that forwarded only part of their bytes from
+    // a younger store.
+    const SbEntry &entry = sb.slot(store.sbSlot);
+    youngerLoadsReading(rob.slotOf(store), entry.addr, entry.size,
+                        checkScratch);
+    for (const ConsumerRef &ref : checkScratch) {
         if (!slotHolds(ref.slot, ref.seq))
             continue;
         DynInst &load = rob.slot(ref.slot);
-        if (!load.isLoad() || !load.memIssued)
+        if (!load.memIssued)
             continue;
         if (!loadHasStaleByteFrom(load, entry))
             continue; // every shared byte came from a younger store
@@ -686,7 +669,7 @@ void
 Processor::resetForReplay(DynInst &inst)
 {
     if (inst.isLoad())
-        deindexLoadBytes(inst); // before the address is forgotten
+        issuedLoads.clear(rob.slotOf(inst));
     ++inst.epoch; // kill in-flight completion events
     inst.issued = false;
     inst.done = false;
@@ -723,7 +706,7 @@ Processor::replayDependenceSlice(DynInst &victim)
     std::set<InstSeqNum> slice;
     // Not checkScratch: checkViolations is iterating that while it
     // calls here.
-    std::vector<ByteSeqIndex::Ref> readers;
+    std::vector<ConsumerRef> readers;
 
     while (!work.empty()) {
         InstSeqNum seq = work.back();
@@ -758,24 +741,17 @@ Processor::replayDependenceSlice(DynInst &victim)
                 work.push_back(c.seq);
         }
 
-        // Loads that forwarded any byte from this (stale) store. The
-        // loadBytes index narrows the search to loads reading the
-        // store's range; the per-byte source test catches partial
-        // forwards.
+        // Loads that forwarded any byte from this (stale) store: the
+        // younger issued loads reading the store's range, narrowed by
+        // the per-byte source test, which catches partial forwards.
         if (inst->isStore() && inst->sbSlot >= 0) {
             const SbEntry &se = sb.slot(inst->sbSlot);
             if (se.addrValid && se.dataValid) {
-                readers.clear();
-                loadBytes.collectYoungerThan(se.addr, se.size, seq,
-                                             readers);
-                for (const ByteSeqIndex::Ref &ref : readers) {
-                    if (!slotHolds(ref.slot, ref.seq))
-                        continue;
-                    DynInst &c = rob.slot(ref.slot);
-                    if (!c.isLoad() || !c.memIssued)
-                        continue;
-                    if (loadForwardedFrom(c, seq))
-                        work.push_back(c.seq);
+                youngerLoadsReading(rob.slotOf(*inst), se.addr, se.size,
+                                    readers);
+                for (const ConsumerRef &ref : readers) {
+                    if (loadForwardedFrom(rob.slot(ref.slot), seq))
+                        work.push_back(ref.seq);
                 }
             }
         }

@@ -5,14 +5,8 @@
 namespace cwsim
 {
 
-bool
-StoreBuffer::slotLive(size_t slot_idx) const
-{
-    return q.slotLive(slot_idx);
-}
-
 void
-StoreBuffer::eraseRef(ArenaVec<SlotRef> &v, size_t slot_idx)
+StoreBuffer::eraseRef(std::vector<SlotRef> &v, size_t slot_idx)
 {
     for (size_t i = v.size(); i-- > 0;) {
         if (v[i].slot == slot_idx)
@@ -25,48 +19,27 @@ StoreBuffer::allocate(SbEntry entry)
 {
     panic_if(entry.addrValid || entry.dataValid || entry.executed,
              "store allocated with execution state already set");
-    InstSeqNum seq = entry.seq;
-    TraceIndex trace_idx = entry.traceIdx;
-    Synonym syn = entry.producerSynonym;
     bool barrier = entry.barrier;
     size_t slot_idx = q.pushBack(std::move(entry));
-    bySeq.emplace(seq, slot_idx);
-    byTrace.emplace(trace_idx, slot_idx);
-    addrUnposted.insert(seq);
+    addrUnposted.set(slot_idx);
     if (barrier)
-        unexecutedBarriers.insert(seq);
-    if (syn != invalid_synonym)
-        bySynonym[syn].push_back(SlotRef{slot_idx, seq});
+        unexecutedBarriers.set(slot_idx);
     return slot_idx;
 }
 
 void
-StoreBuffer::unindexEntry(const SbEntry &entry, size_t slot_idx)
+StoreBuffer::forget(size_t slot_idx)
 {
-    bySeq.erase(entry.seq);
-    byTrace.erase(entry.traceIdx);
-    if (entry.addrValid && entry.dataValid)
-        dataBytes.remove(entry.addr, entry.size, entry.seq);
-    addrUnposted.erase(entry.seq);
+    addrUnposted.clear(slot_idx);
+    unexecutedBarriers.clear(slot_idx);
     eraseRef(addrInFlight, slot_idx);
     eraseRef(awaitingData, slot_idx);
-    if (entry.barrier)
-        unexecutedBarriers.erase(entry.seq);
-    if (entry.producerSynonym != invalid_synonym) {
-        auto it = bySynonym.find(entry.producerSynonym);
-        if (it != bySynonym.end()) {
-            eraseRef(it->second, slot_idx);
-            // Keep the list even when empty: the synonym working set
-            // is small and the same producer PC allocates again soon.
-        }
-    }
 }
 
 void
 StoreBuffer::popFront()
 {
-    const SbEntry &entry = q.front();
-    unindexEntry(entry, q.slotOf(entry));
+    forget(q.slotOf(q.front()));
     q.popFront();
 }
 
@@ -76,8 +49,7 @@ StoreBuffer::squashYoungerThan(InstSeqNum keep)
     // Committed entries are never squashed: stop at the first one from
     // the tail, exactly like the historical truncation loop.
     while (!q.empty() && !q.back().committed && q.back().seq > keep) {
-        const SbEntry &entry = q.back();
-        unindexEntry(entry, q.slotOf(entry));
+        forget(q.slotOf(q.back()));
         q.truncate(1);
     }
 }
@@ -91,12 +63,10 @@ StoreBuffer::postAddr(size_t slot_idx, Addr addr, Tick visible_at,
     entry.addr = addr;
     entry.addrValid = true;
     entry.addrVisibleAt = visible_at;
-    addrUnposted.erase(entry.seq);
+    addrUnposted.clear(slot_idx);
     if (visible_at > now)
         addrInFlight.push_back(SlotRef{slot_idx, entry.seq});
-    if (entry.dataValid)
-        dataBytes.add(entry.addr, entry.size, entry.seq, slot_idx);
-    else
+    if (!entry.dataValid)
         awaitingData.push_back(SlotRef{slot_idx, entry.seq});
 }
 
@@ -108,7 +78,6 @@ StoreBuffer::postData(size_t slot_idx, uint64_t data)
     entry.data = data;
     entry.dataValid = true;
     if (entry.addrValid) {
-        dataBytes.add(entry.addr, entry.size, entry.seq, slot_idx);
         // Usually the last-posted entry; the back-scan is O(1) for
         // single-phase (NAS) stores, which post address then data in
         // the same cycle.
@@ -124,46 +93,22 @@ StoreBuffer::setExecuted(size_t slot_idx, Tick now)
              "setExecuted on an incomplete store");
     entry.executed = true;
     entry.executedAt = now;
-    if (entry.barrier)
-        unexecutedBarriers.erase(entry.seq);
+    unexecutedBarriers.clear(slot_idx);
 }
 
 void
 StoreBuffer::invalidateForReplay(size_t slot_idx)
 {
     SbEntry &entry = q.slot(slot_idx);
-    if (entry.addrValid && entry.dataValid)
-        dataBytes.remove(entry.addr, entry.size, entry.seq);
     eraseRef(addrInFlight, slot_idx);
     eraseRef(awaitingData, slot_idx);
     entry.addr = invalid_addr;
     entry.addrValid = false;
     entry.dataValid = false;
     entry.executed = false;
-    addrUnposted.insert(entry.seq);
+    addrUnposted.set(slot_idx);
     if (entry.barrier)
-        unexecutedBarriers.insert(entry.seq);
-}
-
-SbEntry *
-StoreBuffer::findSeq(InstSeqNum seq)
-{
-    auto it = bySeq.find(seq);
-    return it == bySeq.end() ? nullptr : &q.slot(it->second);
-}
-
-const SbEntry *
-StoreBuffer::findSeq(InstSeqNum seq) const
-{
-    auto it = bySeq.find(seq);
-    return it == bySeq.end() ? nullptr : &q.slot(it->second);
-}
-
-const SbEntry *
-StoreBuffer::findTraceIdx(TraceIndex idx) const
-{
-    auto it = byTrace.find(idx);
-    return it == byTrace.end() ? nullptr : &q.slot(it->second);
+        unexecutedBarriers.set(slot_idx);
 }
 
 const SbEntry *
@@ -217,20 +162,44 @@ StoreBuffer::blockingOlderStore(Addr addr, unsigned size,
     return nullptr;
 }
 
+unsigned
+StoreBuffer::forward(Addr addr, unsigned size, InstSeqNum before,
+                     uint64_t &value, InstSeqNum *sources) const
+{
+    // Youngest first from the youngest entry older than the load, so
+    // the first writer a byte meets is its youngest older writer.
+    const unsigned all = (1u << size) - 1;
+    unsigned got = 0;
+    for (size_t pos = lowerBound(&SbEntry::seq, before);
+         pos-- > 0 && got != all;) {
+        const SbEntry &entry = q.at(pos);
+        if (!entry.dataValid || !entry.overlaps(addr, size))
+            continue;
+        for (unsigned i = 0; i < size; ++i) {
+            Addr byte_addr = addr + i;
+            if ((got >> i & 1) || !entry.coversByte(byte_addr))
+                continue;
+            got |= 1u << i;
+            value |= static_cast<uint64_t>(entry.byteAt(byte_addr))
+                     << (8 * i);
+            if (sources)
+                sources[i] = entry.seq;
+        }
+    }
+    return got;
+}
+
 const SbEntry *
 StoreBuffer::youngestSynonymProducerBefore(Synonym syn,
                                            InstSeqNum before) const
 {
-    auto it = bySynonym.find(syn);
-    if (it == bySynonym.end())
-        return nullptr;
-    // Allocation order == age order; walk youngest-first.
-    const ArenaVec<SlotRef> &v = it->second;
-    for (size_t i = v.size(); i-- > 0;) {
-        if (!refValid(v[i]))
-            continue;
-        const SbEntry &entry = q.slot(v[i].slot);
-        if (entry.seq < before && !entry.committed)
+    // Youngest first; committed entries form the FIFO's prefix, so
+    // the first one ends the search.
+    for (size_t pos = q.size(); pos-- > 0;) {
+        const SbEntry &entry = q.at(pos);
+        if (entry.committed)
+            break;
+        if (entry.seq < before && entry.producerSynonym == syn)
             return &entry;
     }
     return nullptr;
@@ -239,7 +208,6 @@ StoreBuffer::youngestSynonymProducerBefore(Synonym syn,
 std::string
 StoreBuffer::selfCheck(Tick now) const
 {
-    size_t n_data_bytes = 0;
     size_t n_unposted = 0;
     size_t n_barriers = 0;
     for (size_t i = 0; i < q.size(); ++i) {
@@ -248,25 +216,18 @@ StoreBuffer::selfCheck(Tick now) const
 
         if (i > 0 && q.at(i - 1).seq >= e.seq)
             return strfmt("SB seq order broken at pos %zu", i);
+        if (i > 0 && q.at(i - 1).traceIdx >= e.traceIdx)
+            return strfmt("SB trace order broken at pos %zu", i);
+        if (i > 0 && e.committed && !q.at(i - 1).committed)
+            return strfmt("SB committed entry at pos %zu follows an "
+                          "uncommitted one", i);
 
-        auto seq_it = bySeq.find(e.seq);
-        if (seq_it == bySeq.end() || seq_it->second != slot_idx) {
-            return strfmt("bySeq missing/wrong for seq %llu",
+        if (addrUnposted.test(slot_idx) != !e.addrValid) {
+            return strfmt("addrUnposted bit wrong for seq %llu",
                           static_cast<unsigned long long>(e.seq));
         }
-        auto trc_it = byTrace.find(e.traceIdx);
-        if (trc_it == byTrace.end() || trc_it->second != slot_idx) {
-            return strfmt("byTrace missing/wrong for trace %llu",
-                          static_cast<unsigned long long>(e.traceIdx));
-        }
-
-        if (!e.addrValid) {
-            ++n_unposted;
-            if (!addrUnposted.count(e.seq)) {
-                return strfmt("addrUnposted missing seq %llu",
-                              static_cast<unsigned long long>(e.seq));
-            }
-        } else if (now < e.addrVisibleAt) {
+        n_unposted += !e.addrValid;
+        if (e.addrValid && now < e.addrVisibleAt) {
             bool found = false;
             for (const SlotRef &ref : addrInFlight)
                 found |= ref.slot == slot_idx && ref.seq == e.seq;
@@ -286,64 +247,22 @@ StoreBuffer::selfCheck(Tick now) const
             }
         }
 
-        if (e.addrValid && e.dataValid) {
-            n_data_bytes += e.size;
-            for (unsigned b = 0; b < e.size; ++b) {
-                // The youngest indexed writer of this byte at or below
-                // e.seq must be e itself.
-                ByteSeqIndex::Ref ref;
-                if (!dataBytes.newestBefore(e.addr + b, e.seq + 1,
-                                            ref) ||
-                    ref.seq != e.seq || ref.slot != slot_idx) {
-                    return strfmt("dataBytes missing byte 0x%llx of "
-                                  "seq %llu",
-                                  static_cast<unsigned long long>(
-                                      e.addr + b),
-                                  static_cast<unsigned long long>(
-                                      e.seq));
-                }
-            }
+        bool barrier = e.barrier && !e.executed;
+        if (unexecutedBarriers.test(slot_idx) != barrier) {
+            return strfmt("unexecutedBarriers %s seq %llu",
+                          barrier ? "missing" : "holds",
+                          static_cast<unsigned long long>(e.seq));
         }
-
-        if (e.barrier && !e.executed) {
-            ++n_barriers;
-            if (!unexecutedBarriers.count(e.seq)) {
-                return strfmt("unexecutedBarriers missing seq %llu",
-                              static_cast<unsigned long long>(e.seq));
-            }
-        }
-
-        if (e.producerSynonym != invalid_synonym) {
-            auto syn_it = bySynonym.find(e.producerSynonym);
-            bool found = false;
-            if (syn_it != bySynonym.end()) {
-                for (const SlotRef &ref : syn_it->second)
-                    found |= ref.slot == slot_idx && ref.seq == e.seq;
-            }
-            if (!found) {
-                return strfmt("bySynonym missing seq %llu",
-                              static_cast<unsigned long long>(e.seq));
-            }
-        }
+        n_barriers += barrier;
     }
 
-    if (bySeq.size() != q.size())
-        return strfmt("bySeq has %zu entries, SB %zu", bySeq.size(),
-                      q.size());
-    if (byTrace.size() != q.size())
-        return strfmt("byTrace has %zu entries, SB %zu", byTrace.size(),
-                      q.size());
-    if (addrUnposted.size() != n_unposted)
-        return strfmt("addrUnposted has %zu entries, expected %zu",
-                      addrUnposted.size(), n_unposted);
-    if (unexecutedBarriers.size() != n_barriers)
-        return strfmt("unexecutedBarriers has %zu entries, expected %zu",
-                      unexecutedBarriers.size(), n_barriers);
-    if (dataBytes.size() != n_data_bytes)
-        return strfmt("dataBytes indexes %zu bytes, expected %zu",
-                      dataBytes.size(), n_data_bytes);
-    if (std::string err = dataBytes.selfCheck(); !err.empty())
-        return "dataBytes: " + err;
+    // Bits on slots no entry occupies.
+    if (addrUnposted.count() != n_unposted)
+        return strfmt("addrUnposted has %zu bits, expected %zu",
+                      addrUnposted.count(), n_unposted);
+    if (unexecutedBarriers.count() != n_barriers)
+        return strfmt("unexecutedBarriers has %zu bits, expected %zu",
+                      unexecutedBarriers.count(), n_barriers);
 
     // Lazily-compacted lists may hold stale refs, but every live ref
     // must describe its entry truthfully.
@@ -359,14 +278,6 @@ StoreBuffer::selfCheck(Tick now) const
         const SbEntry &e = q.slot(ref.slot);
         if (!e.addrValid || e.dataValid)
             return "awaitingData ref to wrong-state entry";
-    }
-    for (const auto &[syn, v] : bySynonym) {
-        for (const SlotRef &ref : v) {
-            if (!refValid(ref))
-                return "bySynonym holds a dead ref";
-            if (q.slot(ref.slot).producerSynonym != syn)
-                return "bySynonym ref with mismatched synonym";
-        }
     }
     return "";
 }

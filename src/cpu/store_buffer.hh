@@ -18,40 +18,38 @@
  * stores; an AS store posts its address early, visible asLatency
  * cycles later.
  *
- * StoreBuffer is an *indexed* FIFO: alongside the age-ordered circular
- * queue it maintains
- *   - O(1) seq -> slot and traceIdx -> slot lookup maps,
- *   - a byte-granular ByteSeqIndex over executed store data (the
- *     forwarding lookup: youngest older store writing a byte),
- *   - an age-ordered set of stores whose address is still unknown and
- *     a small list of stores whose posted address is not yet visible
- *     (the ambiguity test of the NO/SEL hold and the AS scheduler),
- *   - a list of address-only stores (posted address, data pending —
- *     the AS scheduler's known-true-dependence test),
- *   - an age-ordered set of unexecuted barrier stores (the STORE
- *     gate), and
- *   - per-synonym producer lists (the SYNC dispatch lookup).
- * Entry fields that feed an index (addr/data/executed, and the
- * barrier/producerSynonym predictions fixed at allocate) may only be
- * written through the mutating API below; the release flags
- * (committed, releasing, released) may be poked directly via slot().
- * selfCheck() rebuilds every index from the queue and is run at check
- * level 2.
+ * Every query searches the age-ordered FIFO itself, from the entry it
+ * asks about. Seq and trace index both ascend in FIFO order (a squash
+ * truncates the tail and refetch resumes after the survivors; a
+ * fast-forward restarts trace indices only on an empty buffer), so
+ * findSeq/findTraceIdx binary-search positions, and forwarding scans
+ * backward from the youngest entry older than the load. Beside the
+ * FIFO it keeps
+ *   - slot bitmaps of the stores whose address is still unposted and
+ *     of the unexecuted barrier stores, walked in age order for the
+ *     oldest (the ambiguity test of the NO/SEL hold and the AS
+ *     scheduler; the STORE gate), and
+ *   - short lists of the stores whose posted address is not yet
+ *     visible and of the address-only stores (posted address, data
+ *     pending: the AS scheduler's known-true-dependence test).
+ * Entry fields that feed these (addr/data/executed, and the barrier
+ * prediction fixed at allocate) may only be written through the
+ * mutating API below; the release flags (committed, releasing,
+ * released) may be poked directly via slot(). selfCheck() rebuilds
+ * every one from the queue and is run at check level 2.
  */
 
 #ifndef CWSIM_CPU_STORE_BUFFER_HH
 #define CWSIM_CPU_STORE_BUFFER_HH
 
 #include <cstdint>
-#include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/addr_range.hh"
-#include "base/arena.hh"
-#include "base/byte_index.hh"
 #include "base/circular_queue.hh"
+#include "base/slot_bitmap.hh"
 #include "base/types.hh"
 #include "mdp/mdp_table.hh"
 
@@ -109,7 +107,11 @@ struct SbEntry
 class StoreBuffer
 {
   public:
-    explicit StoreBuffer(size_t capacity) : q(capacity) {}
+    explicit StoreBuffer(size_t capacity)
+        : q(capacity), addrUnposted(capacity),
+          unexecutedBarriers(capacity)
+    {
+    }
 
     // ---- FIFO shape (CircularQueue passthrough) ---------------------
     size_t capacity() const { return q.capacity(); }
@@ -123,22 +125,22 @@ class StoreBuffer
     SbEntry &at(size_t pos) { return q.at(pos); }
     const SbEntry &at(size_t pos) const { return q.at(pos); }
     /**
-     * Direct slot access. Writing an indexed field through this would
-     * corrupt the indexes — use the mutating API; only the commit and
-     * release flags are fair game.
+     * Direct slot access. Writing a field the bitmaps or lists track
+     * through this would corrupt them — use the mutating API; only the
+     * commit and release flags are fair game.
      */
     SbEntry &slot(size_t idx) { return q.slot(idx); }
     const SbEntry &slot(size_t idx) const { return q.slot(idx); }
 
     // ---- lifecycle ---------------------------------------------------
     /**
-     * Dispatch a store: append and index. The entry carries its
-     * dispatch-time predictions (barrier, producerSynonym).
+     * Dispatch a store: append it. The entry carries its dispatch-time
+     * predictions (barrier, producerSynonym).
      * @return its stable slot.
      */
     size_t allocate(SbEntry entry);
 
-    /** Retire the (released) head entry and unindex it. */
+    /** Retire the (released) head entry. */
     void popFront();
 
     /** Squash: drop uncommitted tail entries younger than @p keep. */
@@ -165,12 +167,25 @@ class StoreBuffer
     void invalidateForReplay(size_t slot_idx);
 
     // ---- queries -----------------------------------------------------
-    /** O(1) lookup by sequence number (nullptr if not resident). */
-    SbEntry *findSeq(InstSeqNum seq);
-    const SbEntry *findSeq(InstSeqNum seq) const;
+    /** Lookup by sequence number (nullptr if not resident). */
+    const SbEntry *
+    findSeq(InstSeqNum seq) const
+    {
+        return findBy(&SbEntry::seq, seq);
+    }
 
-    /** O(1) lookup by trace index (nullptr if not resident). */
-    const SbEntry *findTraceIdx(TraceIndex idx) const;
+    SbEntry *
+    findSeq(InstSeqNum seq)
+    {
+        return const_cast<SbEntry *>(std::as_const(*this).findSeq(seq));
+    }
+
+    /** Lookup by trace index (nullptr if not resident). */
+    const SbEntry *
+    findTraceIdx(TraceIndex idx) const
+    {
+        return findBy(&SbEntry::traceIdx, idx);
+    }
 
     /** The stable slot of resident entry @p entry. */
     size_t slotOf(const SbEntry &entry) const { return q.slotOf(entry); }
@@ -191,7 +206,8 @@ class StoreBuffer
     bool
     unpostedOlderThan(InstSeqNum seq) const
     {
-        return !addrUnposted.empty() && *addrUnposted.begin() < seq;
+        const SbEntry *oldest = oldestIn(addrUnposted);
+        return oldest && oldest->seq < seq;
     }
 
     /**
@@ -212,11 +228,8 @@ class StoreBuffer
     const SbEntry *
     barrierOlderThan(InstSeqNum seq) const
     {
-        if (unexecutedBarriers.empty() ||
-            *unexecutedBarriers.begin() >= seq) {
-            return nullptr;
-        }
-        return findSeq(*unexecutedBarriers.begin());
+        const SbEntry *oldest = oldestIn(unexecutedBarriers);
+        return oldest && oldest->seq < seq ? oldest : nullptr;
     }
 
     /**
@@ -229,15 +242,15 @@ class StoreBuffer
                                       InstSeqNum seq, Tick now) const;
 
     /**
-     * Forwarding: the youngest store older than @p before with valid
-     * data covering @p byte_addr. @return true and fill @p out.
+     * Forwarding: each byte i of [addr, addr+size) (size <= 8) from
+     * the youngest store older than @p before whose data covers it.
+     * ORs the byte into bits [8i, 8i+8) of @p value and, when
+     * @p sources is non-null, stores that store's seq in sources[i];
+     * bytes no such store writes are left alone.
+     * @return a mask with bit i set for each forwarded byte i.
      */
-    bool
-    newestDataBefore(Addr byte_addr, InstSeqNum before,
-                     ByteSeqIndex::Ref &out) const
-    {
-        return dataBytes.newestBefore(byte_addr, before, out);
-    }
+    unsigned forward(Addr addr, unsigned size, InstSeqNum before,
+                     uint64_t &value, InstSeqNum *sources) const;
 
     /**
      * SYNC dispatch: the youngest uncommitted store older than
@@ -247,7 +260,8 @@ class StoreBuffer
                                                  InstSeqNum before) const;
 
     /**
-     * Rebuild every index from the queue and compare (check level 2).
+     * Check the FIFO's orders and rebuild the bitmaps and lists from
+     * it and compare (check level 2).
      * @param now Current cycle, for visibility-list validation.
      * @return "" when consistent, else a complaint.
      */
@@ -264,26 +278,57 @@ class StoreBuffer
     bool
     refValid(const SlotRef &ref) const
     {
-        return slotLive(ref.slot) && q.slot(ref.slot).seq == ref.seq;
+        return q.slotLive(ref.slot) && q.slot(ref.slot).seq == ref.seq;
     }
 
-    bool slotLive(size_t slot_idx) const;
-    void unindexEntry(const SbEntry &entry, size_t slot_idx);
-    static void eraseRef(ArenaVec<SlotRef> &v, size_t slot_idx);
+    /** The first FIFO position whose @p field is not below @p key. */
+    template <class Key>
+    size_t
+    lowerBound(Key SbEntry::*field, Key key) const
+    {
+        size_t lo = 0;
+        size_t hi = q.size();
+        while (lo < hi) {
+            size_t mid = lo + (hi - lo) / 2;
+            if (q.at(mid).*field < key)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return lo;
+    }
+
+    /** The entry whose @p field is @p key (nullptr if none). */
+    template <class Key>
+    const SbEntry *
+    findBy(Key SbEntry::*field, Key key) const
+    {
+        size_t pos = lowerBound(field, key);
+        return pos < q.size() && q.at(pos).*field == key ? &q.at(pos)
+                                                         : nullptr;
+    }
+
+    /** The oldest entry whose bit is set in @p bits (nullptr if none). */
+    const SbEntry *
+    oldestIn(const SlotBitmap &bits) const
+    {
+        if (q.empty())
+            return nullptr;
+        size_t idx = bits.firstInAge(q.slotOf(q.front()));
+        return idx == SlotBitmap::npos ? nullptr : &q.slot(idx);
+    }
+
+    /** Clear @p slot_idx's bits and list refs (it is leaving). */
+    void forget(size_t slot_idx);
+    static void eraseRef(std::vector<SlotRef> &v, size_t slot_idx);
 
     CircularQueue<SbEntry> q;
 
-    // All index containers draw from the per-run arena: their nodes
-    // churn once per store, never outlive the Processor, and are
-    // reclaimed wholesale between runs.
-    ArenaMap<InstSeqNum, size_t> bySeq;
-    ArenaMap<TraceIndex, size_t> byTrace;
+    /** Entries with no posted address. */
+    SlotBitmap addrUnposted;
 
-    /** Bytes of entries with addrValid && dataValid. */
-    ByteSeqIndex dataBytes;
-
-    /** Seqs of resident entries with no posted address, age-ordered. */
-    ArenaSet<InstSeqNum> addrUnposted;
+    /** Unexecuted barrier entries. */
+    SlotBitmap unexecutedBarriers;
 
     /**
      * Entries whose posted address is not visible yet (addrVisibleAt
@@ -291,16 +336,10 @@ class StoreBuffer
      * they become visible, and as they die; bounded by stores posted
      * within asLatency.
      */
-    ArenaVec<SlotRef> addrInFlight;
+    std::vector<SlotRef> addrInFlight;
 
     /** Entries with a posted address awaiting data (AS two-phase). */
-    ArenaVec<SlotRef> awaitingData;
-
-    /** Seqs of resident unexecuted barrier entries, age-ordered. */
-    ArenaSet<InstSeqNum> unexecutedBarriers;
-
-    /** SYNC: producer entries per synonym, in allocation (age) order. */
-    ArenaMap<Synonym, ArenaVec<SlotRef>> bySynonym;
+    std::vector<SlotRef> awaitingData;
 };
 
 } // namespace cwsim

@@ -22,6 +22,11 @@ namespace
 
 constexpr Addr code_base = 0x1000;
 constexpr Addr data_base = 0x100000;
+/**
+ * Effective addresses wrap at 32 bits (exec::effectiveAddr), so the
+ * data segment must end at or below 2^32.
+ */
+constexpr uint64_t max_data_bytes = (uint64_t(1) << 32) - data_base;
 
 struct Token
 {
@@ -202,8 +207,8 @@ class Assembler
             std::memcpy(&code[i * 4], &word, 4);
         }
         prog.addSegment(code_base, std::move(code));
-        if (!data.empty())
-            prog.addSegment(data_base, data);
+        for (auto &[off, bytes] : dataRuns)
+            prog.addSegment(data_base + off, std::move(bytes));
         return prog;
     }
 
@@ -276,13 +281,17 @@ class Assembler
                     parseError(line.number,
                                "unknown directive " + line.op);
                 }
+                if (data_off > max_data_bytes) {
+                    parseError(line.number,
+                               line.op + " takes the data segment past "
+                                         "2^32");
+                }
                 continue;
             }
             if (in_data)
                 parseError(line.number, "instruction in .data");
             word_index += instWords(line);
         }
-        dataSize = data_off;
     }
 
     void
@@ -472,9 +481,15 @@ class Assembler
     void
     dataWrite(uint64_t off, const void *src, size_t len)
     {
-        if (data.size() < off + len)
-            data.resize(off + len, 0);
-        std::memcpy(&data[off], src, len);
+        // Offsets only grow; a gap left by .space or .align starts a
+        // new run.
+        if (dataRuns.empty() ||
+            dataRuns.back().first + dataRuns.back().second.size() != off) {
+            dataRuns.emplace_back(off, std::vector<uint8_t>{});
+        }
+        const auto *bytes = static_cast<const uint8_t *>(src);
+        std::vector<uint8_t> &run = dataRuns.back().second;
+        run.insert(run.end(), bytes, bytes + len);
     }
 
     void
@@ -495,8 +510,6 @@ class Assembler
                     int64_t n;
                     parseInt(line.operands[0], n);
                     data_off += static_cast<uint64_t>(n);
-                    if (data.size() < data_off)
-                        data.resize(data_off, 0);
                 } else if (line.op == ".word") {
                     for (const auto &operand : line.operands) {
                         int64_t v;
@@ -519,12 +532,9 @@ class Assembler
                     data_off = alignUp(data_off, 8);
                     for (const auto &operand : line.operands) {
                         double d;
-                        try {
-                            d = std::stod(operand);
-                        } catch (...) {
+                        if (!parseDouble(operand, d))
                             parseError(line.number,
                                        "bad .double value");
-                        }
                         dataWrite(data_off, &d, 8);
                         data_off += 8;
                     }
@@ -533,8 +543,6 @@ class Assembler
                     parseInt(line.operands[0], a);
                     data_off = alignUp(data_off,
                                        static_cast<uint64_t>(a));
-                    if (data.size() < data_off)
-                        data.resize(data_off, 0);
                 }
                 continue;
             }
@@ -546,8 +554,12 @@ class Assembler
     std::vector<Line> lines;
     std::map<std::string, uint64_t> labels;
     std::vector<StaticInst> insts;
-    std::vector<uint8_t> data;
-    uint64_t dataSize = 0;
+    /**
+     * The bytes .word, .byte and .double write, as runs at data-segment
+     * offsets. .space and .align only move the offset: memory reads
+     * bytes nothing wrote as zero, so reserving costs nothing.
+     */
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> dataRuns;
 };
 
 } // anonymous namespace

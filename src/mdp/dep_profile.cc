@@ -1,7 +1,5 @@
 #include "mdp/dep_profile.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 
@@ -28,20 +26,15 @@ getU64(const Fields &fields, const std::string &key, uint64_t &out)
 bool
 getF64(const Fields &fields, const std::string &key, double &out)
 {
+    // JsonObject writes a NaN as the string "nan".
     auto it = fields.find(key);
-    if (it == fields.end() || it->second.empty())
+    if (it == fields.end())
         return false;
     if (it->second == "nan") {
         out = std::numeric_limits<double>::quiet_NaN();
         return true;
     }
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    return parseDouble(it->second, out);
 }
 
 /** PCs travel as "0x<hex>" strings (JSON numbers lose 64-bit range). */

@@ -1,12 +1,10 @@
 #include "sim/config_parse.hh"
 
-#include <cmath>
 #include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 #include <type_traits>
 
 #include "base/logging.hh"
@@ -38,16 +36,9 @@ parseU64(const std::string &key, const std::string &value, uint64_t max)
 double
 parseF64(const std::string &key, const std::string &value)
 {
-    size_t pos = 0;
     double v = 0;
-    try {
-        v = std::stod(value, &pos);
-    } catch (const std::logic_error &) {
-        pos = 0;
-    }
-    fatal_if(pos != value.size() || !std::isfinite(v),
-             "config: bad number '%s' for %s", value.c_str(),
-             key.c_str());
+    fatal_if(!parseDouble(value, v), "config: bad number '%s' for %s",
+             value.c_str(), key.c_str());
     return v;
 }
 

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -51,16 +50,15 @@ bool
 getF64(const std::map<std::string, std::string> &fields,
        const char *key, double &out)
 {
+    // JsonObject writes a NaN as the string "nan".
     auto it = fields.find(key);
-    if (it == fields.end() || it->second.empty())
+    if (it == fields.end())
         return false;
     if (it->second == "nan") {
         out = std::numeric_limits<double>::quiet_NaN();
         return true;
     }
-    char *end = nullptr;
-    out = std::strtod(it->second.c_str(), &end);
-    return *end == '\0';
+    return parseDouble(it->second, out);
 }
 
 bool

@@ -298,6 +298,53 @@ TEST(AsmDeathTest, InstructionInDataSegment)
 }
 
 
+TEST(AsmDeathTest, DataSegmentPastAddressSpace)
+{
+    // Effective addresses wrap at 32 bits, so a data segment ending
+    // past 2^32 is unreachable; these used to die on std::bad_alloc.
+    EXPECT_EXIT(assembleText(".data\n.space 0x7fffffffffffffff\n"),
+                ::testing::ExitedWithCode(1), "past 2\\^32");
+    EXPECT_EXIT(assembleText(".data\n.byte 1\n"
+                             ".align 0x4000000000000000\n"),
+                ::testing::ExitedWithCode(1), "past 2\\^32");
+    // The segment starts at 0x100000: one byte past 2^32 is too many.
+    EXPECT_EXIT(assembleText(".data\n.space 4293918721\n"),
+                ::testing::ExitedWithCode(1), "past 2\\^32");
+}
+
+TEST(AsmDeathTest, DoubleWithTrailingJunk)
+{
+    // std::stod stopped at the 'a' and accepted 1.5.
+    EXPECT_EXIT(assembleText(".data\nx: .double 1.5abc\n"),
+                ::testing::ExitedWithCode(1), "bad .double value");
+    EXPECT_EXIT(assembleText(".data\nx: .double inf\n"),
+                ::testing::ExitedWithCode(1), "bad .double value");
+}
+
+TEST(AsmTest, LargeSpaceReservesWithoutMaterializing)
+{
+    // .space only reserves: a 4 GB gap (which used to be zero-filled
+    // byte by byte, for minutes) costs nothing, and the data after it
+    // lands at the right address.
+    Program prog = assembleText(".data\n"
+                                "gap: .space 4000000000\n"
+                                "val: .word 7\n"
+                                "     .space 293918716\n" // to 2^32
+                                ".text\n"
+                                "la r1, val\n"
+                                "lw r2, 0(r1)\n"
+                                "la r3, gap\n"
+                                "lw r4, 16(r3)\n"
+                                "halt\n");
+    FunctionalMemory mem;
+    ArchState state = runToHalt(prog, mem);
+    EXPECT_EQ(static_cast<uint32_t>(state.readReg(ir(1))),
+              0x100000u + 4000000000u);
+    EXPECT_EQ(state.readReg(ir(2)), 7u);
+    EXPECT_EQ(state.readReg(ir(4)), 0u); // reserved bytes read as zero
+    EXPECT_LT(mem.pageCount(), 8u);
+}
+
 TEST(AsmTest, AssembleFileRoundTrip)
 {
     const char *path = "asm_test_tmp.s";

@@ -13,7 +13,6 @@
 
 #include "base/addr_range.hh"
 #include "base/bitfield.hh"
-#include "base/byte_index.hh"
 #include "base/circular_queue.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
@@ -261,43 +260,40 @@ TEST(SlotBitmapTest, SetClearIterate)
     EXPECT_EQ(bm.nextSet(130), SlotBitmap::npos);
     bm.clear(63);
     EXPECT_EQ(bm.nextSet(1), 64u);
+
+    // Age order from a wrapped head: [head, cap), then [0, head).
+    auto walk = [&bm](size_t head) {
+        std::vector<size_t> order;
+        for (size_t s = bm.firstInAge(head); s != SlotBitmap::npos;
+             s = bm.nextInAge(s, head)) {
+            order.push_back(s);
+        }
+        return order;
+    };
+    EXPECT_EQ(walk(0), (std::vector<size_t>{0, 64, 129}));
+    EXPECT_EQ(walk(64), (std::vector<size_t>{64, 129, 0}));
+    EXPECT_EQ(walk(65), (std::vector<size_t>{129, 0, 64}));
+    EXPECT_EQ(walk(129), (std::vector<size_t>{129, 0, 64}));
+    // Walking on from the last slot wraps to the oldest wrapped bit
+    // and stops short of the head.
+    EXPECT_EQ(bm.nextInAge(129, 65), 0u);
+    EXPECT_EQ(bm.nextInAge(129, 0), SlotBitmap::npos);
+    EXPECT_EQ(bm.nextInAge(64, 65), SlotBitmap::npos);
+    // A bit set behind the walk, between it and the head, is still
+    // visited; one before the head is not.
+    bm.set(100);
+    EXPECT_EQ(bm.nextInAge(64, 65), SlotBitmap::npos);
+    EXPECT_EQ(bm.nextInAge(0, 65), 64u);
+    EXPECT_EQ(walk(65), (std::vector<size_t>{100, 129, 0, 64}));
+    bm.clear(100);
+
     bm.reset();
     EXPECT_TRUE(bm.none());
-}
-
-TEST(ByteSeqIndexTest, AddRemoveLookup)
-{
-    ByteSeqIndex idx;
-    idx.add(0x100, 4, 10, 1); // [0x100, 0x104) by seq 10
-    idx.add(0x102, 4, 20, 2); // [0x102, 0x106) by seq 20
-    EXPECT_EQ(idx.size(), 8u);
-    EXPECT_EQ(idx.selfCheck(), "");
-
-    ByteSeqIndex::Ref ref;
-    // Overlapping byte: youngest-older wins, bounded by `before`.
-    ASSERT_TRUE(idx.newestBefore(0x102, 100, ref));
-    EXPECT_EQ(ref.seq, 20u);
-    ASSERT_TRUE(idx.newestBefore(0x102, 20, ref));
-    EXPECT_EQ(ref.seq, 10u);
-    EXPECT_FALSE(idx.newestBefore(0x102, 10, ref));
-    EXPECT_FALSE(idx.newestBefore(0x106, 100, ref));
-
-    std::vector<ByteSeqIndex::Ref> out;
-    idx.collectYoungerThan(0x100, 4, 10, out);
-    // seq 20 touches bytes 0x102 and 0x103 of the queried range: one
-    // ref per byte.
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].seq, 20u);
-    EXPECT_EQ(out[1].seq, 20u);
-
-    idx.remove(0x100, 4, 10);
-    EXPECT_EQ(idx.size(), 4u);
-    EXPECT_FALSE(idx.newestBefore(0x100, 100, ref));
-    ASSERT_TRUE(idx.newestBefore(0x105, 100, ref));
-    EXPECT_EQ(ref.seq, 20u);
-    idx.remove(0x102, 4, 20);
-    EXPECT_TRUE(idx.empty());
-    EXPECT_EQ(idx.selfCheck(), "");
+    for (size_t head : {size_t{0}, size_t{1}, size_t{64}, size_t{129}}) {
+        EXPECT_EQ(bm.firstInAge(head), SlotBitmap::npos);
+        EXPECT_EQ(bm.nextInAge(head, head), SlotBitmap::npos);
+        EXPECT_TRUE(walk(head).empty());
+    }
 }
 
 TEST(StrTest, Strfmt)
@@ -339,6 +335,28 @@ TEST(StrTest, EnvUint64)
             << "value: '" << bad << "'";
     }
     unsetenv("CWSIM_TEST_KNOB");
+}
+
+TEST(StrTest, ParseDouble)
+{
+    double v = -1;
+    for (auto [text, want] :
+         {std::pair<const char *, double>{"0", 0.0}, {"-2", -2.0},
+          {"2.5", 2.5}, {".5", 0.5}, {"1e3", 1000.0}, {"-1.5e-3", -1.5e-3},
+          {"22.689530685920577", 22.689530685920577}}) {
+        ASSERT_TRUE(parseDouble(text, v)) << "'" << text << "'";
+        EXPECT_EQ(v, want) << "'" << text << "'";
+    }
+
+    // Only the whole string, and only a finite value; a rejection
+    // leaves the output untouched.
+    v = 7;
+    for (const char *bad :
+         {"", " 2", "2 ", "+2", "2s", "1.5abc", "0x10", "inf", "-inf",
+          "infinity", "nan", "-nan", "1e999", "-1e999", "1,5", "."}) {
+        EXPECT_FALSE(parseDouble(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7.0) << "'" << bad << "'";
+    }
 }
 
 TEST(StrTest, ParseSeconds)

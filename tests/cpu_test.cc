@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
+#include "base/random.hh"
 #include "cpu/processor.hh"
 #include "harness/harness.hh"
 #include "isa/builder.hh"
@@ -778,6 +781,261 @@ TEST(StoreBufferIndex, BarrierSetFollowsEveryLifecycleStep)
     sb.slot(s50).barrier = true;
     EXPECT_NE(sb.selfCheck(7).find("unexecutedBarriers"),
               std::string::npos);
+}
+
+TEST(StoreBufferIndex, ForwardingTakesYoungestOlderWriterPerByte)
+{
+    StoreBuffer sb(8);
+    auto store = [&sb](InstSeqNum seq, Addr addr, unsigned size,
+                       uint64_t data) {
+        SbEntry e;
+        e.seq = seq;
+        e.traceIdx = seq;
+        e.size = size;
+        size_t slot = sb.allocate(e);
+        sb.postAddr(slot, addr, 0, 0);
+        sb.postData(slot, data);
+        sb.setExecuted(slot, 0);
+        return slot;
+    };
+    auto fwd = [&sb](Addr addr, unsigned size, InstSeqNum before,
+                     uint64_t &value, InstSeqNum *sources) {
+        value = 0;
+        return sb.forward(addr, size, before, value, sources);
+    };
+    size_t s10 = store(10, 0x100, 4, 0x13121110); // [0x100, 0x104)
+    store(20, 0x102, 4, 0x25242322);              // [0x102, 0x106)
+    // Address posted, data still pending: never a forwarding source.
+    SbEntry pending;
+    pending.seq = 30;
+    pending.traceIdx = 30;
+    pending.size = 8;
+    sb.postAddr(sb.allocate(pending), 0x100, 0, 0);
+
+    uint64_t v = 0;
+    InstSeqNum src[8] = {};
+    // Overlapping byte: the youngest older writer wins, bounded by
+    // `before`.
+    EXPECT_EQ(fwd(0x102, 1, 100, v, src), 1u);
+    EXPECT_EQ(src[0], 20u);
+    EXPECT_EQ(v, 0x22u);
+    EXPECT_EQ(fwd(0x102, 1, 20, v, src), 1u);
+    EXPECT_EQ(src[0], 10u);
+    EXPECT_EQ(v, 0x12u);
+    EXPECT_EQ(fwd(0x102, 1, 10, v, src), 0u);
+    EXPECT_EQ(fwd(0x106, 1, 100, v, src), 0u);
+
+    // A partial overlap from two stores splits byte by byte; bytes
+    // neither writes are left to memory.
+    std::fill(std::begin(src), std::end(src), 99);
+    EXPECT_EQ(fwd(0x100, 8, 100, v, src), 0x3fu);
+    EXPECT_EQ(v, 0x252423221110u);
+    EXPECT_EQ((std::vector<InstSeqNum>(src, src + 8)),
+              (std::vector<InstSeqNum>{10, 10, 20, 20, 20, 20, 99, 99}));
+    // Without sources, the value alone.
+    EXPECT_EQ(fwd(0x101, 4, 15, v, nullptr), 0x7u);
+    EXPECT_EQ(v, 0x131211u);
+
+    // Retiring the older store leaves the younger one's bytes.
+    sb.slot(s10).committed = true;
+    sb.slot(s10).released = true;
+    sb.popFront();
+    EXPECT_EQ(fwd(0x100, 1, 100, v, src), 0u);
+    EXPECT_EQ(fwd(0x105, 1, 100, v, src), 1u);
+    EXPECT_EQ(src[0], 20u);
+    EXPECT_EQ(v, 0x25u);
+    EXPECT_EQ(sb.selfCheck(0), "");
+}
+
+TEST(StoreBufferIndex, QueriesMatchBruteForceAcrossFifoWraps)
+{
+    // Random lifecycles on a small buffer, so the FIFO wraps many
+    // times; after every step each query must equal a scan of the
+    // resident entries, oldest to youngest.
+    StoreBuffer sb(8);
+    Random rng(2024);
+    InstSeqNum next_seq = 1;
+    TraceIndex next_trace = 0;
+    Tick now = 0;
+    size_t pops = 0;
+    constexpr Addr base = 0x1000;
+
+    auto entries = [&sb]() {
+        std::vector<const SbEntry *> v;
+        for (size_t i = 0; i < sb.size(); ++i)
+            v.push_back(&sb.at(i));
+        return v;
+    };
+    auto pick = [&](auto pred) -> const SbEntry * {
+        std::vector<const SbEntry *> c;
+        for (const SbEntry *e : entries()) {
+            if (pred(*e))
+                c.push_back(e);
+        }
+        return c.empty() ? nullptr : c[rng.below(c.size())];
+    };
+    auto slot_of = [&sb](const SbEntry *e) { return sb.slotOf(*e); };
+
+    auto check = [&](const char *step) {
+        SCOPED_TRACE(step);
+        ASSERT_EQ(sb.selfCheck(now), "");
+        std::vector<const SbEntry *> all = entries();
+        std::vector<InstSeqNum> probes{0, 1, next_seq, next_seq + 5};
+        for (const SbEntry *e : all) {
+            probes.push_back(e->seq);
+            probes.push_back(e->seq + 1);
+        }
+        for (InstSeqNum p : probes) {
+            const SbEntry *want = nullptr;
+            for (const SbEntry *e : all)
+                want = e->seq == p ? e : want;
+            EXPECT_EQ(sb.findSeq(p), want) << "findSeq " << p;
+            want = nullptr;
+            for (const SbEntry *e : all)
+                want = e->traceIdx == p ? e : want;
+            EXPECT_EQ(sb.findTraceIdx(p), want) << "findTraceIdx " << p;
+
+            bool unposted = false;
+            for (const SbEntry *e : all)
+                unposted |= !e->addrValid && e->seq < p;
+            EXPECT_EQ(sb.unpostedOlderThan(p), unposted) << p;
+
+            want = nullptr;
+            for (const SbEntry *e : all) {
+                if (!want && e->barrier && !e->executed && e->seq < p)
+                    want = e;
+            }
+            EXPECT_EQ(sb.barrierOlderThan(p), want) << "barrier " << p;
+
+            for (Synonym syn : {Synonym{0}, Synonym{1}, Synonym{2}}) {
+                want = nullptr;
+                for (const SbEntry *e : all) {
+                    if (!e->committed && e->seq < p &&
+                        e->producerSynonym == syn) {
+                        want = e;
+                    }
+                }
+                EXPECT_EQ(sb.youngestSynonymProducerBefore(syn, p), want)
+                    << "synonym " << syn << " before " << p;
+            }
+
+            for (unsigned size : {1u, 2u, 4u, 8u}) {
+                for (Addr a = base; a < base + 24; a += 3) {
+                    uint64_t want_value = 0;
+                    unsigned want_mask = 0;
+                    InstSeqNum want_src[8] = {};
+                    for (unsigned i = 0; i < size; ++i) {
+                        for (const SbEntry *e : all) {
+                            if (e->seq < p && e->addrValid &&
+                                e->dataValid && e->coversByte(a + i)) {
+                                want_src[i] = e->seq;
+                                want_value &=
+                                    ~(uint64_t(0xff) << (8 * i));
+                                want_value |= uint64_t(e->byteAt(a + i))
+                                              << (8 * i);
+                                want_mask |= 1u << i;
+                            }
+                        }
+                    }
+                    uint64_t value = 0;
+                    InstSeqNum src[8] = {};
+                    ASSERT_EQ(sb.forward(a, size, p, value, src),
+                              want_mask)
+                        << "forward 0x" << std::hex << a << std::dec
+                        << "/" << size << " before " << p;
+                    EXPECT_EQ(value, want_value);
+                    for (unsigned i = 0; i < size; ++i)
+                        EXPECT_EQ(src[i], want_src[i]) << "byte " << i;
+                }
+            }
+        }
+    };
+
+    check("empty");
+    for (int step = 0; step < 2000; ++step) {
+        switch (rng.below(9)) {
+          case 0:
+          case 1:
+            if (!sb.full()) {
+                SbEntry e;
+                next_seq += 1 + rng.below(3); // squashes leave gaps
+                e.seq = next_seq;
+                e.traceIdx = next_trace++;
+                e.pc = 0x400 + 4 * rng.below(8);
+                e.size = 1u << rng.below(4);
+                e.barrier = rng.chance(0.3);
+                if (rng.chance(0.6))
+                    e.producerSynonym = static_cast<Synonym>(rng.below(3));
+                sb.allocate(e);
+                check("allocate");
+            }
+            break;
+          case 2:
+            if (const SbEntry *e =
+                    pick([](const SbEntry &x) { return !x.addrValid; })) {
+                Addr a = base + rng.below(20);
+                sb.postAddr(slot_of(e), a, now + rng.below(3), now);
+                check("postAddr");
+            }
+            break;
+          case 3:
+            if (const SbEntry *e =
+                    pick([](const SbEntry &x) { return !x.dataValid; })) {
+                sb.postData(slot_of(e), rng.next());
+                check("postData");
+            }
+            break;
+          case 4:
+            if (const SbEntry *e = pick([](const SbEntry &x) {
+                    return x.addrValid && x.dataValid && !x.executed;
+                })) {
+                sb.setExecuted(slot_of(e), now);
+                check("setExecuted");
+            }
+            break;
+          case 5:
+            if (const SbEntry *e = pick([](const SbEntry &x) {
+                    return !x.committed && (x.addrValid || x.dataValid);
+                })) {
+                sb.invalidateForReplay(slot_of(e));
+                check("invalidateForReplay");
+            }
+            break;
+          case 6: {
+            // Commit in order, up to the oldest unexecuted entry;
+            // release and retire the committed head.
+            for (const SbEntry *e : entries()) {
+                if (!e->executed)
+                    break;
+                sb.slot(slot_of(e)).committed = true;
+            }
+            if (!sb.empty() && sb.front().committed &&
+                rng.chance(0.7)) {
+                sb.front().released = true;
+                sb.popFront();
+                ++pops;
+                check("popFront");
+            }
+            break;
+          }
+          case 7:
+            if (!sb.empty() && rng.chance(0.2)) {
+                const SbEntry &e = sb.at(rng.below(sb.size()));
+                sb.squashYoungerThan(e.seq);
+                // Refetch reuses the squashed entries' trace indices.
+                next_trace = sb.back().traceIdx + 1;
+                check("squash");
+            }
+            break;
+          default:
+            ++now;
+            sb.expireVisibleAddrs(now);
+            check("tick");
+            break;
+        }
+    }
+    // Enough traffic that the 8-entry FIFO wrapped at least 3 times.
+    EXPECT_GE(pops, 24u);
 }
 
 TEST(PipelineTest, StoreBufferPressureStallsButStaysCorrect)

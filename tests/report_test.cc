@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -374,6 +375,49 @@ TEST(ReportLoad, RejectsGarbledScaleInsteadOfTruncating)
     EXPECT_EQ(records.size(), 1u);
     EXPECT_EQ(rejected, 1u);
     EXPECT_EQ(records[0].scale, 2000u);
+    std::remove(path.c_str());
+}
+
+TEST(ReportLoad, RejectsPaddedOrNonFiniteFloats)
+{
+    // A float field must be a whole, finite number (or the "nan" the
+    // writer emits for NaN): a padded value used to diff clean against
+    // the unpadded one, and an overflowing one loaded as inf.
+    std::string path = "report_load_float_test." +
+                       std::to_string(::getpid()) + ".jsonl";
+    ReportRecord rec = makeRun("129.compress", "NAS/NAV", 1000, 2800);
+    rec.run.falseDepLatency = 22.689530685920577;
+    std::string good = sweep::runRecordLine(rec.run, 0xbeefull, 2000);
+    const std::string key = "\"falseDepLatency\":";
+    size_t at = good.find(key);
+    ASSERT_NE(at, std::string::npos);
+    at += key.size();
+    size_t len = good.find(',', at) - at;
+    ASSERT_EQ(good.substr(at, len), "22.689530685920577");
+    auto with = [&](const std::string &value) {
+        std::string line = good;
+        return line.replace(at, len, value);
+    };
+    {
+        std::ofstream out(path);
+        out << good << "\n" << with("\"nan\"") << "\n";
+        for (const char *bad :
+             {"\" 22.689530685920577\"", "\"22.689530685920577 \"",
+              "\"1e999\"", "1e999", "\"infinity\"", "\"-inf\"",
+              "\"+22.5\"", "\"22.5abc\""}) {
+            out << with(bad) << "\n";
+        }
+    }
+
+    std::vector<ReportRecord> records;
+    std::string err;
+    size_t rejected = 0;
+    ASSERT_TRUE(
+        sweep::loadRunRecords(path, records, &err, &rejected));
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(rejected, 8u);
+    EXPECT_EQ(records[0].run.falseDepLatency, 22.689530685920577);
+    EXPECT_TRUE(std::isnan(records[1].run.falseDepLatency));
     std::remove(path.c_str());
 }
 

@@ -539,8 +539,10 @@ TEST(ConfigParseDeathTest, BadNumber)
     }
     applyConfigOption(cfg, "core.windowSize=4096");
     EXPECT_EQ(cfg.core.windowSize, 4096u);
-    // A fault rate is a probability: not NaN, not infinite, in [0, 1].
-    for (const char *rate : {"nan", "inf", "-0.5", "1.5"}) {
+    // A fault rate is a probability: not NaN, not infinite, in [0, 1],
+    // and the whole value (parseDouble: no '+' sign, hex or junk).
+    for (const char *rate :
+         {"nan", "inf", "-0.5", "1.5", "+0.5", "0x0.8p0", "0.5x"}) {
         std::string opt =
             std::string("check.faults.storeAddrDelayRate=") + rate;
         EXPECT_EXIT(applyConfigOption(cfg, opt),
