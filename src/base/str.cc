@@ -131,7 +131,8 @@ parseSeconds(std::string_view text, double &out)
 }
 
 uint64_t
-envUint64(const char *name, uint64_t min, uint64_t fallback)
+envUint64(const char *name, uint64_t min, uint64_t fallback,
+          uint64_t max)
 {
     const char *env = std::getenv(name);
     if (!env)
@@ -142,9 +143,10 @@ envUint64(const char *name, uint64_t min, uint64_t fallback)
              name, env, static_cast<unsigned long long>(fallback));
         return fallback;
     }
-    if (v < min) {
-        warn("ignoring %s=%s (must be >= %llu); using %llu", name, env,
-             static_cast<unsigned long long>(min),
+    if (v < min || v > max) {
+        warn("ignoring %s=%s (must be %llu to %llu); using %llu", name,
+             env, static_cast<unsigned long long>(min),
+             static_cast<unsigned long long>(max),
              static_cast<unsigned long long>(fallback));
         return fallback;
     }

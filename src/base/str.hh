@@ -80,11 +80,12 @@ bool parseSeconds(std::string_view text, double &out);
  * Read an unsigned integer from the environment, with validation.
  *
  * Returns @p fallback when @p name is unset. Values parseUnsigned()
- * rejects and values below @p min are rejected with a warn() and fall
- * back too, so every knob read from the environment (CWSIM_SCALE,
- * CWSIM_JOBS, ...) reports bad input the same way.
+ * rejects and values outside [@p min, @p max] are rejected with a
+ * warn() and fall back too, so every knob read from the environment
+ * (CWSIM_SCALE, CWSIM_JOBS, ...) reports bad input the same way.
  */
-uint64_t envUint64(const char *name, uint64_t min, uint64_t fallback);
+uint64_t envUint64(const char *name, uint64_t min, uint64_t fallback,
+                   uint64_t max = std::numeric_limits<uint64_t>::max());
 
 } // namespace cwsim
 

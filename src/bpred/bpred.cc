@@ -19,6 +19,10 @@ BranchPredictor::BranchPredictor(const BPredConfig &cfg)
              "predictor entries must be a power of two");
     fatal_if(!isPowerOf2(cfg.btbEntries),
              "BTB entries must be a power of two");
+    fatal_if(cfg.rasEntries == 0, "RAS entries must be at least 1");
+    // Wider than globalHist would shift the PC by its width or more.
+    fatal_if(cfg.gselectHistoryBits > 32,
+             "gselect history bits must be at most 32");
 }
 
 unsigned

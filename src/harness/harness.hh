@@ -33,7 +33,7 @@ namespace harness
  * fail-soft class PR 1 introduced (watchdog, invariant, equivalence…);
  * the host-level classes (Crash, Timeout, Oom, Protocol) can only be
  * observed by the --isolate sweep executor, which runs each simulation
- * in a sandboxed child process and classifies how the child died.
+ * in a sandboxed worker process and classifies how a job ended.
  */
 enum class FailKind
 {

@@ -12,6 +12,7 @@ MdpTable::MdpTable(const MdpConfig &cfg)
       predictThreshold(cfg.predictThreshold), nextSynonym(0),
       useCounter(0)
 {
+    fatal_if(cfg.mdptAssoc == 0, "MDPT associativity must be at least 1");
     fatal_if(cfg.mdptEntries % cfg.mdptAssoc != 0,
              "MDPT entries not divisible by associativity");
     sets = cfg.mdptEntries / cfg.mdptAssoc;

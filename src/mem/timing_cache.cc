@@ -52,6 +52,8 @@ TimingCache::TimingCache(const CacheConfig &cfg,
              cacheName.c_str());
     fatal_if(!isPowerOf2(cfg.banks), "%s: bank count not a power of 2",
              cacheName.c_str());
+    fatal_if(cfg.assoc == 0, "%s: associativity must be at least 1",
+             cacheName.c_str());
     uint64_t num_blocks = cfg.sizeBytes / cfg.blockSize;
     uint64_t num_sets = num_blocks / cfg.assoc;
     fatal_if(num_sets % cfg.banks != 0,

@@ -1,7 +1,9 @@
 #include "obs/depprof.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 
 #include "base/jsonl.hh"
@@ -426,22 +428,27 @@ DepProfManager::writeRun(const DepProfile &prof)
     std::lock_guard<std::mutex> lock(writeMutex);
     if (outPath.empty())
         return;
-    std::FILE *out = std::fopen(outPath.c_str(), "a");
-    if (!out) {
+    int fd = ::open(outPath.c_str(),
+                    O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+    if (fd < 0) {
         warn("depprof: cannot append profile to %s", outPath.c_str());
         return;
     }
-    // One block per run, appended as a single write: the mutex covers
-    // in-process sweep workers, and a lone O_APPEND write covers
+    // One block per run, appended as a single write(2): the mutex
+    // covers in-process sweep workers, and a lone O_APPEND write covers
     // isolated (forked) workers sharing the file — either way the
-    // validator never sees interleaved lines.
+    // validator never sees interleaved lines. (stdio would split a
+    // block longer than its buffer into two writes.)
     std::string block;
     for (const std::string &line : lines) {
         block += line;
         block += '\n';
     }
-    std::fwrite(block.data(), 1, block.size(), out);
-    std::fclose(out);
+    if (::write(fd, block.data(), block.size()) !=
+        static_cast<ssize_t>(block.size())) {
+        warn("depprof: short write appending to %s", outPath.c_str());
+    }
+    ::close(fd);
 }
 
 } // namespace obs

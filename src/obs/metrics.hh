@@ -7,7 +7,7 @@
  * reads, so a registry snapshot can ride inside a cwsimd stats event).
  *
  * This measures the SERVICE, not the simulation: where wall-clock time
- * goes across the queue → fork → run → cache pipeline (queue depth and
+ * goes across the queue → dispatch → run → cache pipeline (queue depth and
  * wait, worker-slot utilization, per-fail_kind outcomes, cache hit
  * ratio, end-to-end run latency). Simulated stats stay in
  * sim/stats.hh; nothing here may influence a RunResult.

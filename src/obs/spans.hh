@@ -3,7 +3,7 @@
  * Run-lifecycle spans as Chrome trace-event JSON.
  *
  * The daemon stamps every run's lifecycle (received → queued →
- * admitted → forked → streaming → cached → replied) from the
+ * admitted → sent to a worker → streaming → cached → replied) from the
  * scheduler's existing steady_clock points; this writer serializes
  * those stamps in the trace-event format that Perfetto and
  * chrome://tracing load natively, so fleet concurrency — which worker

@@ -245,6 +245,14 @@ TraceManager::setInterval(uint64_t cycles, const std::string &path)
 }
 
 void
+TraceManager::dropFileOutputs()
+{
+    std::lock_guard<std::mutex> lock(writeMutex);
+    closeOutput();
+    pipeWriter.reset();
+}
+
+void
 TraceManager::resetForTesting()
 {
     disableAll();

@@ -137,6 +137,14 @@ class TraceManager
     const std::string &intervalPath() const { return intervalFile; }
 
     /**
+     * For a forked worker about to close its inherited descriptors:
+     * close the trace-file and pipeview streams (their buffers must
+     * already be empty) and send trace lines to stderr. Flags and
+     * interval sampling stay as they were.
+     */
+    void dropFileOutputs();
+
+    /**
      * Tests only: drop all flags, close the pipeview/interval outputs
      * and point trace output back at stderr.
      */

@@ -58,15 +58,21 @@ parseRate(const std::string &key, const std::string &value)
  */
 constexpr uint64_t max_queue_size = 4096;
 
+/** The branch predictor keeps its global history in 32 bits. */
+constexpr uint64_t max_history_bits = 32;
+
+/** A number in [@p lo, @p hi]. */
 uint64_t
-parseQueueSize(const std::string &key, const std::string &value)
+parseInRange(const std::string &key, const std::string &value,
+             uint64_t lo, uint64_t hi)
 {
     uint64_t v = parseU64(key, value,
                           std::numeric_limits<uint64_t>::max());
-    fatal_if(v == 0 || v > max_queue_size,
-             "config: bad number '%s' for %s (1 to %llu)",
+    fatal_if(v < lo || v > hi,
+             "config: bad number '%s' for %s (%llu to %llu)",
              value.c_str(), key.c_str(),
-             static_cast<unsigned long long>(max_queue_size));
+             static_cast<unsigned long long>(lo),
+             static_cast<unsigned long long>(hi));
     return v;
 }
 
@@ -119,13 +125,21 @@ parseRecovery(const std::string &value)
         }                                                               \
     }
 
-#define QUEUE_FIELD(key, expr)                                          \
+#define RANGE_FIELD(key, expr, lo, hi)                                  \
     {                                                                   \
         key, [](SimConfig &c, const std::string &v) {                  \
             using Field = std::remove_reference_t<decltype(expr)>;      \
-            expr = static_cast<Field>(parseQueueSize(key, v));          \
+            expr = static_cast<Field>(parseInRange(key, v, lo, hi));    \
         }                                                               \
     }
+
+#define QUEUE_FIELD(key, expr) RANGE_FIELD(key, expr, 1, max_queue_size)
+
+/** A count the simulator divides by: at least 1. */
+#define DIVISOR_FIELD(key, expr)                                        \
+    RANGE_FIELD(key, expr, 1,                                           \
+                std::numeric_limits<                                    \
+                    std::remove_reference_t<decltype(expr)>>::max())
 
 #define RATE_FIELD(key, expr)                                           \
     {                                                                   \
@@ -151,7 +165,7 @@ setters()
         U64_FIELD("core.lsqInputPorts", c.core.lsqInputPorts),
         // Memory hierarchy.
         U64_FIELD("mem.dcache.sizeBytes", c.mem.dcache.sizeBytes),
-        U64_FIELD("mem.dcache.assoc", c.mem.dcache.assoc),
+        DIVISOR_FIELD("mem.dcache.assoc", c.mem.dcache.assoc),
         U64_FIELD("mem.dcache.banks", c.mem.dcache.banks),
         U64_FIELD("mem.dcache.hitLatency", c.mem.dcache.hitLatency),
         U64_FIELD("mem.icache.sizeBytes", c.mem.icache.sizeBytes),
@@ -161,14 +175,14 @@ setters()
         U64_FIELD("mem.memBaseLatency", c.mem.memBaseLatency),
         // Branch prediction.
         U64_FIELD("bpred.predictorEntries", c.bpred.predictorEntries),
-        U64_FIELD("bpred.gselectHistoryBits",
-                  c.bpred.gselectHistoryBits),
+        RANGE_FIELD("bpred.gselectHistoryBits",
+                    c.bpred.gselectHistoryBits, 0, max_history_bits),
         U64_FIELD("bpred.btbEntries", c.bpred.btbEntries),
-        U64_FIELD("bpred.rasEntries", c.bpred.rasEntries),
+        DIVISOR_FIELD("bpred.rasEntries", c.bpred.rasEntries),
         // Memory dependence speculation.
         U64_FIELD("mdp.asLatency", c.mdp.asLatency),
         U64_FIELD("mdp.mdptEntries", c.mdp.mdptEntries),
-        U64_FIELD("mdp.mdptAssoc", c.mdp.mdptAssoc),
+        DIVISOR_FIELD("mdp.mdptAssoc", c.mdp.mdptAssoc),
         U64_FIELD("mdp.counterBits", c.mdp.counterBits),
         U64_FIELD("mdp.predictThreshold", c.mdp.predictThreshold),
         U64_FIELD("mdp.resetInterval", c.mdp.resetInterval),
@@ -215,7 +229,9 @@ setters()
 }
 
 #undef U64_FIELD
+#undef RANGE_FIELD
 #undef QUEUE_FIELD
+#undef DIVISOR_FIELD
 #undef RATE_FIELD
 
 } // anonymous namespace

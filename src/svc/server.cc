@@ -16,7 +16,6 @@
 
 #include "base/jsonl.hh"
 #include "base/logging.hh"
-#include "base/sim_error.hh"
 #include "base/str.hh"
 #include "svc/log.hh"
 #include "svc/protocol.hh"
@@ -284,15 +283,6 @@ Server::requestStop()
     }
 }
 
-harness::Runner &
-Server::runnerFor(uint64_t scale)
-{
-    auto &slot = runners[scale];
-    if (!slot)
-        slot = std::make_unique<harness::Runner>(scale);
-    return *slot;
-}
-
 Server::Session *
 Server::sessionByClient(uint64_t client)
 {
@@ -494,25 +484,18 @@ Server::dispatchReady()
         RunUnit *unit = sched.next();
         if (!unit)
             break;
-        harness::Runner &runner = runnerFor(unit->scale);
-        // Pre-warm the functional pre-pass in the parent so every
-        // forked child inherits it copy-on-write. Fail-soft: if the
-        // workload is broken, the child hits the same error and says
-        // so in its record.
-        try {
-            ScopedErrorTrap trap;
-            runner.prepass(unit->job.workload);
-        } catch (const SimError &) {
-        }
+        // The worker builds and caches the workload and its pre-pass
+        // itself: one forked earlier would never see a pre-pass the
+        // daemon computed later.
         sweep::IsolatePool::Task task;
         task.token = unit->key;
-        task.runner = &runner;
         task.job = unit->job;
+        task.scale = unit->scale;
         task.fp = unit->fp;
         task.intervalCycles = unit->intervalCycles;
         pool->enqueue(std::move(task));
     }
-    pool->pump(); // fork now so the new pipes join this poll round
+    pool->pump(); // send now so the busy channels join this poll round
 }
 
 void
@@ -724,6 +707,9 @@ Server::run()
             }
             sessions.clear();
             sm.sessionsOpen->set(0);
+            // End and reap the idle workers, so their CPU time and
+            // peak RSS reach whoever waits on the daemon.
+            pool.reset();
             // Final telemetry: one last exposition dump and the
             // trace-event array's closing bracket.
             if (!opts.metricsPath.empty())
@@ -843,7 +829,12 @@ Server::run()
             }
         }
 
-        for (sweep::IsolatePool::Done &d : pool->service()) {
+        std::vector<sweep::IsolatePool::Done> finished = pool->service();
+        // Refill the freed slots first: each finishUnit below appends
+        // to the cache with an fdatasync, and the workers need not sit
+        // idle while the daemon waits on the disk.
+        dispatchReady();
+        for (sweep::IsolatePool::Done &d : finished) {
             ExecInfo info{d.slot, d.queueMs, d.execMs};
             finishUnit(d.token, d.result, d.intervalLines, info);
         }

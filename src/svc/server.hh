@@ -11,11 +11,11 @@
  *   - client sessions: buffered line-delimited JSON (svc/protocol.hh),
  *     non-blocking both ways, with a hard output-backlog cap so one
  *     stalled reader cannot wedge the server
- *   - the IsolatePool's child pipes: every admitted run executes in a
- *     forked worker slot (sweep/isolate.hh), so a crashing, hanging,
- *     or OOMing simulation is classified into the failure taxonomy
- *     and answered like any other result — the daemon itself never
- *     dies of a bad run
+ *   - the IsolatePool's worker channels: every admitted run executes
+ *     in a persistent worker process of its slot (sweep/isolate.hh),
+ *     so a crashing, hanging, or OOMing simulation is classified into
+ *     the failure taxonomy and answered like any other result — the
+ *     daemon itself never dies of a bad run
  *
  * Shared corpus: all results land in one flock-guarded run cache
  * (sweep/run_cache.hh). A submit is served from three tiers — the
@@ -61,7 +61,7 @@ struct ServerOptions
     /** Default dynamic-instruction scale for specs that omit one. */
     uint64_t defaultScale = 0; ///< 0 = harness::benchScale().
 
-    /** Worker slots (isolated child processes). */
+    /** Worker slots (persistent isolated worker processes). */
     unsigned slots = 1;
     double timeoutSec = 0;
     uint64_t memLimitMb = 0;
@@ -143,7 +143,6 @@ class Server
         double execMs = 0;  ///< Parent-observed execute time.
     };
 
-    harness::Runner &runnerFor(uint64_t scale);
     void acceptPending(int listenFd);
     void handleLine(Session &s, const std::string &line);
     void handleSubmit(Session &s,
@@ -170,7 +169,6 @@ class Server
     std::unique_ptr<sweep::RunCache> cache;
     Scheduler sched;
     std::unique_ptr<sweep::IsolatePool> pool;
-    std::map<uint64_t, std::unique_ptr<harness::Runner>> runners;
     std::map<int, Session> sessions; ///< By fd.
     int unixFd = -1;
     int stopRd = -1;

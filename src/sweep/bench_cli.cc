@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "base/logging.hh"
 #include "base/str.hh"
@@ -10,6 +11,7 @@
 #include "obs/trace.hh"
 #include "sim/config_parse.hh"
 #include "sim/table.hh"
+#include "sweep/isolate.hh"
 #include "sweep/report.hh"
 #include "sweep/run_cache.hh"
 
@@ -68,13 +70,13 @@ printUsage(const char *prog, std::FILE *out)
          "print the per-run CPI stack (commit-slot losses)",
          "CWSIM_CPI_STACK"},
         {"--isolate",
-         "sandbox each run in a child process (contain crashes)",
+         "sandbox runs in worker processes (contain crashes)",
          "CWSIM_ISOLATE"},
         {"--timeout S",
          "wall-clock deadline per isolated run, seconds (0 = none)",
          "CWSIM_TIMEOUT"},
         {"--mem-limit MB",
-         "address-space cap per isolated run, MiB (0 = none)",
+         "address-space cap per isolated worker, MiB (0 = none)",
          "CWSIM_MEM_LIMIT"},
         {"--retries N",
          "retries for host-level failures of an isolated run",
@@ -94,14 +96,21 @@ printUsage(const char *prog, std::FILE *out)
     std::fprintf(out, "Value-taking flags also accept --flag=value.\n");
 }
 
+/** The most a 32-bit count (--jobs, --retries) can hold. */
+constexpr uint64_t max_count32 = std::numeric_limits<unsigned>::max();
+
 uint64_t
-parseCount(const char *flag, const std::string &value, uint64_t min)
+parseCount(const char *flag, const std::string &value, uint64_t min,
+           uint64_t max = std::numeric_limits<uint64_t>::max())
 {
     uint64_t v = 0;
     fatal_if(!parseUnsigned(value, v),
              "%s: not an unsigned integer: '%s'", flag, value.c_str());
     fatal_if(v < min, "%s: must be >= %llu (got %llu)", flag,
              static_cast<unsigned long long>(min),
+             static_cast<unsigned long long>(v));
+    fatal_if(v > max, "%s: must be <= %llu (got %llu)", flag,
+             static_cast<unsigned long long>(max),
              static_cast<unsigned long long>(v));
     return v;
 }
@@ -141,9 +150,10 @@ parseBenchArgs(int argc, char **argv, uint64_t defaultScale)
     opts.cpiStack = envUint64("CWSIM_CPI_STACK", 0, 0) != 0;
     opts.isolate = envUint64("CWSIM_ISOLATE", 0, 0) != 0;
     opts.timeoutSec = envSeconds("CWSIM_TIMEOUT", 0);
-    opts.memLimitMb = envUint64("CWSIM_MEM_LIMIT", 0, 0);
+    opts.memLimitMb =
+        envUint64("CWSIM_MEM_LIMIT", 0, 0, max_mem_limit_mb);
     opts.retries = static_cast<unsigned>(
-        envUint64("CWSIM_RETRIES", 0, 1));
+        envUint64("CWSIM_RETRIES", 0, 1, max_count32));
     // A shared corpus (ROADMAP item 1): point every bench and the
     // cwsimd daemon at one cache directory without threading a flag
     // through each invocation. --cache-dir still overrides.
@@ -173,8 +183,8 @@ parseBenchArgs(int argc, char **argv, uint64_t defaultScale)
             arg.erase(eq);
         }
         if (arg == "--jobs" || arg == "-j") {
-            opts.jobs = static_cast<unsigned>(
-                parseCount("--jobs", value(i, "--jobs"), 1));
+            opts.jobs = static_cast<unsigned>(parseCount(
+                "--jobs", value(i, "--jobs"), 1, max_count32));
         } else if (arg == "--scale") {
             opts.scale =
                 parseCount("--scale", value(i, "--scale"), 1000);
@@ -210,11 +220,12 @@ parseBenchArgs(int argc, char **argv, uint64_t defaultScale)
             opts.timeoutSec =
                 secondsArg("--timeout", value(i, "--timeout"));
         } else if (arg == "--mem-limit") {
-            opts.memLimitMb =
-                parseCount("--mem-limit", value(i, "--mem-limit"), 0);
+            opts.memLimitMb = parseCount(
+                "--mem-limit", value(i, "--mem-limit"), 0,
+                max_mem_limit_mb);
         } else if (arg == "--retries") {
-            opts.retries = static_cast<unsigned>(
-                parseCount("--retries", value(i, "--retries"), 0));
+            opts.retries = static_cast<unsigned>(parseCount(
+                "--retries", value(i, "--retries"), 0, max_count32));
         } else if (arg == "--set") {
             // Validation happens when the override is applied (it
             // needs a config to apply to); a bad key is still fatal

@@ -32,7 +32,7 @@
  *   --depprof-file P  dependence-profile path (implies --depprof)
  *   --cpi-stack     print a per-(workload, config) CPI-stack table
  *                   (commit-slot loss breakdown) after the sweep
- *   --isolate       run each simulation in a sandboxed child process:
+ *   --isolate       run each simulation in a sandboxed worker process:
  *                   crashes, hangs, and OOMs are contained, classified
  *                   (FAILED RUNS kind column), and retried instead of
  *                   killing the bench (see src/sweep/isolate.hh)

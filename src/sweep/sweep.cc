@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -33,7 +34,9 @@ resolveJobs(unsigned requested)
     if (requested > 0)
         return std::min(requested, hw);
     return std::min(
-        static_cast<unsigned>(envUint64("CWSIM_JOBS", 1, hw)), hw);
+        static_cast<unsigned>(envUint64(
+            "CWSIM_JOBS", 1, hw, std::numeric_limits<unsigned>::max())),
+        hw);
 }
 
 void
@@ -126,8 +129,8 @@ SweepEngine::run(const SweepPlan &plan)
         pending.push_back(i);
     }
 
-    // Phase 2: simulate the rest. With isolation on, each run forks a
-    // sandboxed child (workers become process slots) and failures come
+    // Phase 2: simulate the rest. With isolation on, the runs go to
+    // sandboxed worker processes (one per slot) and failures come
     // back classified instead of crashing the bench; the executor does
     // not touch the runner's failure list itself, so record them here —
     // a contained crash then reports exactly like a cached or in-

@@ -85,13 +85,13 @@ struct SweepOptions
     std::string jsonPath;
 
     // Process isolation (see isolate.hh). With isolate set, workers
-    // become forked child processes: a crashing, hanging, or OOMing
+    // become forked worker processes: a crashing, hanging, or OOMing
     // run is contained, classified (FailKind), and retried instead of
     // taking the whole bench down.
     bool isolate = false;
     /** Wall-clock deadline per isolated attempt, seconds (0 = none). */
     double timeoutSec = 0;
-    /** RLIMIT_AS cap per isolated child, MiB (0 = none). */
+    /** RLIMIT_AS cap per isolated worker, MiB (0 = none). */
     uint64_t memLimitMb = 0;
     /** Retry budget for host-level failures of an isolated run. */
     unsigned retries = 1;

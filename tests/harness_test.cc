@@ -142,6 +142,32 @@ TEST(RunnerTest, ShortNamesWork)
     EXPECT_GT(r.falseDepLoads, 0u);
 }
 
+TEST(RunnerTest, ZeroDivisorsInACodeBuiltConfigAreSimErrors)
+{
+    // Each of these used to kill the process with SIGFPE (a modulo by
+    // zero) or shift a PC by its width; the constructors now refuse
+    // them, so the run fails soft like any other bad config.
+    Runner runner(3000);
+    const SimConfig base =
+        withPolicy(makeW128Config(), LsqModel::NAS, SpecPolicy::Naive);
+    SimConfig mdpt = base;
+    mdpt.mdp.mdptAssoc = 0;
+    SimConfig dcache = base;
+    dcache.mem.dcache.assoc = 0;
+    SimConfig ras = base;
+    ras.bpred.rasEntries = 0;
+    SimConfig history = base;
+    history.bpred.gselectHistoryBits = 64;
+    for (const SimConfig &cfg : {mdpt, dcache, ras, history}) {
+        harness::RunResult r = runner.run("129.compress", cfg);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.failKind, harness::FailKind::SimError) << r.error;
+    }
+    harness::RunResult r = runner.run("129.compress", mdpt);
+    EXPECT_NE(r.error.find("MDPT associativity"), std::string::npos)
+        << r.error;
+}
+
 TEST(RunnerTest, BenchScaleDefault)
 {
     // Without the env var, the default applies.

@@ -3,15 +3,21 @@
  * Tests for the --isolate sweep executor: a fault storm of injected
  * host crashes, hangs, and allocation storms across the workload suite
  * must be contained and classified while every surviving run stays
- * bit-identical to a clean serial sweep. Lives apart from sweep_test
- * because these tests fork(), which the tsan test shard must not.
+ * bit-identical to a clean serial sweep; and each slot's worker must
+ * be reused across jobs, retired after any failure, and reaped with
+ * its pool. Lives apart from sweep_test because these tests fork(),
+ * which the tsan test shard must not.
  */
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -21,6 +27,8 @@
 #include "harness/harness.hh"
 #include "mdp/dep_profile.hh"
 #include "obs/depprof.hh"
+#include "obs/metrics.hh"
+#include "sweep/isolate.hh"
 #include "sweep/report.hh"
 #include "sweep/run_cache.hh"
 #include "sweep/sweep.hh"
@@ -360,6 +368,284 @@ TEST(IsolateContainment, IsolatedResultsLandInTheRunCache)
     EXPECT_EQ(warmEngine.timingRuns(), 0u);
     EXPECT_EQ(warmEngine.cacheHits(), 1u);
     expectSameSimResult(coldResults[0], warmResults[0]);
+}
+
+using Pool = sweep::IsolatePool;
+
+Pool::Task
+makeTask(uint64_t token, const std::string &workload, uint64_t scale,
+         const SimConfig &cfg)
+{
+    Pool::Task t;
+    t.token = token;
+    t.job = {workload, cfg};
+    t.scale = scale;
+    t.fp = sweep::fingerprintRun(workload, scale, cfg);
+    return t;
+}
+
+/** Run @p tasks through @p pool one at a time; each one's Done. */
+std::vector<Pool::Done>
+runInOrder(Pool &pool, const std::vector<Pool::Task> &tasks)
+{
+    std::vector<Pool::Done> done;
+    for (const Pool::Task &t : tasks) {
+        pool.enqueue(t);
+        while (!pool.idle()) {
+            pool.pump();
+            std::vector<struct pollfd> pfds;
+            pool.addPollFds(pfds);
+            ::poll(pfds.data(), pfds.size(), pool.timeoutMs());
+            for (Pool::Done &d : pool.service())
+                done.push_back(std::move(d));
+        }
+    }
+    return done;
+}
+
+uint64_t
+forks(obs::MetricsRegistry &metrics)
+{
+    return metrics.counter("cwsim_pool_forks_total", "").value();
+}
+
+/** Live (or zombie) children of this process, from /proc. */
+std::vector<pid_t>
+childPids()
+{
+    std::vector<pid_t> out;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc")) {
+        std::ifstream in(entry.path() / "stat");
+        std::string stat;
+        if (!std::getline(in, stat))
+            continue;
+        // "pid (comm) state ppid ...": comm may hold spaces.
+        size_t close = stat.rfind(')');
+        if (close == std::string::npos)
+            continue;
+        char state = 0;
+        long ppid = 0;
+        if (std::sscanf(stat.c_str() + close + 1, " %c %ld", &state,
+                        &ppid) == 2 &&
+            ppid == ::getpid()) {
+            out.push_back(static_cast<pid_t>(
+                std::stol(entry.path().filename().string())));
+        }
+    }
+    return out;
+}
+
+TEST(IsolateWorkers, OneWorkerRunsEveryJobOfItsSlot)
+{
+    obs::MetricsRegistry metrics;
+    Pool pool(sweep::IsolateOptions{});
+    pool.setMetrics(&metrics);
+    std::vector<Pool::Task> tasks;
+    for (uint64_t scale : {2000u, 3000u}) {
+        for (const char *w : {"129.compress", "130.li"}) {
+            for (SpecPolicy p : {SpecPolicy::Naive, SpecPolicy::SpecSync}) {
+                SimConfig cfg = withPolicy(makeW128Config(),
+                                           LsqModel::NAS, p);
+                tasks.push_back(makeTask(tasks.size(), w, scale, cfg));
+            }
+        }
+    }
+    std::vector<Pool::Done> done = runInOrder(pool, tasks);
+    ASSERT_EQ(done.size(), tasks.size());
+    EXPECT_EQ(forks(metrics), 1u) << "one worker for the whole slot";
+
+    Runner direct2000(2000), direct3000(3000);
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        const Pool::Task &t = tasks[i];
+        SCOPED_TRACE(t.job.workload + " at " + std::to_string(t.scale));
+        Runner &direct = t.scale == 2000 ? direct2000 : direct3000;
+        EXPECT_EQ(done[i].token, t.token);
+        EXPECT_EQ(done[i].attempts, 1u);
+        EXPECT_TRUE(done[i].result.ok) << done[i].result.error;
+        expectSameSimResult(direct.run(t.job.workload, t.job.config),
+                            done[i].result);
+    }
+}
+
+TEST(IsolateWorkers, AFailedJobRetiresItsWorker)
+{
+    // A sim_error leaves the worker able to report but possibly
+    // changed, and a crash leaves no worker at all: either way the
+    // next job runs on a fresh one and matches a direct run.
+    sweep::IsolateOptions opts;
+    opts.retries = 0;
+    opts.timeoutSec = 60;
+    obs::MetricsRegistry metrics;
+    Pool pool(opts);
+    pool.setMetrics(&metrics);
+    SimConfig clean = baseConfig();
+    SimConfig doomed = clean;
+    doomed.maxCycles = 50; // cannot halt: a SimError
+    SimConfig crasher = clean;
+    crasher.check.faults.hostCrashRate = 1.0;
+    std::vector<Pool::Task> tasks = {
+        makeTask(0, "129.compress", 3000, clean),
+        makeTask(1, "129.compress", 3000, doomed),
+        makeTask(2, "130.li", 3000, clean),
+        makeTask(3, "130.li", 3000, crasher),
+        makeTask(4, "099.go", 3000, clean),
+    };
+    std::vector<Pool::Done> done = runInOrder(pool, tasks);
+    ASSERT_EQ(done.size(), tasks.size());
+    EXPECT_EQ(done[1].result.failKind, FailKind::SimError);
+    EXPECT_EQ(done[3].result.failKind, FailKind::Crash);
+    EXPECT_EQ(forks(metrics), 3u)
+        << "a worker per failure, plus the first";
+
+    Runner direct(3000);
+    for (size_t i : {0u, 2u, 4u}) {
+        SCOPED_TRACE(tasks[i].job.workload);
+        EXPECT_TRUE(done[i].result.ok) << done[i].result.error;
+        expectSameSimResult(
+            direct.run(tasks[i].job.workload, tasks[i].job.config),
+            done[i].result);
+    }
+}
+
+TEST(IsolateWorkers, IntervalSamplingEndsWithItsJob)
+{
+    obs::MetricsRegistry metrics;
+    Pool pool(sweep::IsolateOptions{});
+    pool.setMetrics(&metrics);
+    Pool::Task sampled = makeTask(0, "129.compress", 3000, baseConfig());
+    sampled.intervalCycles = 2000;
+    Pool::Task plain = makeTask(1, "129.compress", 3000, baseConfig());
+    std::vector<Pool::Done> done = runInOrder(pool, {sampled, plain});
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(forks(metrics), 1u);
+    EXPECT_FALSE(done[0].intervalLines.empty());
+    EXPECT_TRUE(done[1].intervalLines.empty());
+
+    // The second job sampled nothing at all: had the first job's
+    // setting survived, its sampler would have re-created the first
+    // job's (already streamed and deleted) temp file.
+    std::vector<pid_t> workers = childPids();
+    ASSERT_EQ(workers.size(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(
+        std::string(P_tmpdir) + "/cwsim-iv-" +
+        std::to_string(workers[0]) + "-0.jsonl"));
+    expectSameSimResult(done[0].result, done[1].result);
+}
+
+TEST(IsolateWorkers, AJobThatDoesNotMatchItsFingerprintIsRefused)
+{
+    sweep::IsolateOptions opts;
+    opts.retries = 0;
+    obs::MetricsRegistry metrics;
+    Pool pool(opts);
+    pool.setMetrics(&metrics);
+    Pool::Task good = makeTask(0, "129.compress", 3000, baseConfig());
+    Pool::Task forged = good;
+    forged.token = 1;
+    forged.fp ^= 1;
+    Pool::Task after = good;
+    after.token = 2;
+    std::vector<Pool::Done> done =
+        runInOrder(pool, {good, forged, after});
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_TRUE(done[0].result.ok);
+    EXPECT_EQ(done[1].result.failKind, FailKind::Protocol);
+    EXPECT_EQ(done[1].result.failDetail, "job line refused");
+    EXPECT_TRUE(done[2].result.ok);
+    EXPECT_EQ(forks(metrics), 2u) << "the refusing worker is retired";
+    expectSameSimResult(done[0].result, done[2].result);
+}
+
+TEST(IsolateWorkers, AHungJobIsKilledAtItsDeadline)
+{
+    sweep::IsolateOptions opts;
+    opts.retries = 0;
+    opts.timeoutSec = 0.5;
+    obs::MetricsRegistry metrics;
+    Pool pool(opts);
+    pool.setMetrics(&metrics);
+    SimConfig hang = baseConfig();
+    hang.check.faults.hostHangRate = 1.0;
+    std::vector<Pool::Done> done = runInOrder(
+        pool, {makeTask(0, "130.li", 3000, hang),
+               makeTask(1, "130.li", 3000, baseConfig())});
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0].result.failKind, FailKind::Timeout);
+    EXPECT_EQ(done[0].result.failDetail, "wall-clock 0.5s");
+    EXPECT_TRUE(done[1].result.ok) << done[1].result.error;
+    EXPECT_EQ(forks(metrics), 2u);
+    Runner direct(3000);
+    expectSameSimResult(direct.run("130.li", baseConfig()),
+                        done[1].result);
+}
+
+#ifndef CWSIM_ASAN
+TEST(IsolateWorkers, AWorkerPastHalfItsMemoryCapIsReplaced)
+{
+    // Reserve address space (not memory) so every worker starts past
+    // half of a cap that still leaves its job room to run.
+    const size_t hole_bytes = size_t{512} << 20;
+    void *hole = ::mmap(nullptr, hole_bytes, PROT_NONE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1,
+                        0);
+    ASSERT_NE(hole, MAP_FAILED);
+    uint64_t pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    uint64_t vmMb =
+        (pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE))) >> 20;
+    ASSERT_GT(vmMb, 512u);
+
+    auto forksUnderCap = [&](uint64_t capMb) {
+        sweep::IsolateOptions opts;
+        opts.memLimitMb = capMb;
+        obs::MetricsRegistry metrics;
+        Pool pool(opts);
+        pool.setMetrics(&metrics);
+        std::vector<Pool::Done> done = runInOrder(
+            pool, {makeTask(0, "129.compress", 3000, baseConfig()),
+                   makeTask(1, "130.li", 3000, baseConfig()),
+                   makeTask(2, "099.go", 3000, baseConfig())});
+        EXPECT_EQ(done.size(), 3u);
+        for (const Pool::Done &d : done)
+            EXPECT_TRUE(d.result.ok) << d.result.error;
+        return forks(metrics);
+    };
+    EXPECT_EQ(forksUnderCap(vmMb + 256), 3u) << "recycled after each job";
+    EXPECT_EQ(forksUnderCap(4 * vmMb), 1u) << "well under half: reused";
+    ::munmap(hole, hole_bytes);
+}
+#endif
+
+TEST(IsolateWorkers, NoWorkerOutlivesItsPool)
+{
+    std::vector<pid_t> workers;
+    {
+        sweep::IsolateOptions opts;
+        opts.slots = 2;
+        Pool pool(opts);
+        std::vector<Pool::Task> tasks;
+        for (const char *w : {"129.compress", "130.li", "099.go"})
+            tasks.push_back(makeTask(tasks.size(), w, 3000, baseConfig()));
+        for (const Pool::Task &t : tasks)
+            pool.enqueue(t);
+        size_t finished = 0;
+        while (!pool.idle()) {
+            pool.pump();
+            std::vector<struct pollfd> pfds;
+            pool.addPollFds(pfds);
+            ::poll(pfds.data(), pfds.size(), pool.timeoutMs());
+            finished += pool.service().size();
+        }
+        EXPECT_EQ(finished, tasks.size());
+        workers = childPids();
+        EXPECT_EQ(workers.size(), 2u) << "both slots' workers, idle";
+    }
+    for (pid_t pid : workers) {
+        errno = 0;
+        EXPECT_EQ(::kill(pid, 0), -1) << "worker " << pid;
+        EXPECT_EQ(errno, ESRCH) << "worker " << pid << " not reaped";
+    }
 }
 
 TEST(RunCacheConcurrency, TwoProcessesAppendWithoutCorruption)

@@ -553,6 +553,27 @@ TEST(ConfigParseDeathTest, BadNumber)
     EXPECT_EQ(cfg.check.faults.hostCrashRate, 1.0);
 }
 
+TEST(ConfigParseDeathTest, ZeroDivisorsAndWideHistoryAreRejected)
+{
+    // Associativities and the RAS depth are divisors (a zero killed
+    // every run with SIGFPE), and the global history is 32 bits wide.
+    SimConfig cfg;
+    for (const char *opt :
+         {"mem.dcache.assoc=0", "mdp.mdptAssoc=0", "bpred.rasEntries=0",
+          "bpred.gselectHistoryBits=33",
+          "bpred.gselectHistoryBits=64"}) {
+        EXPECT_EXIT(applyConfigOption(cfg, opt),
+                    ::testing::ExitedWithCode(1), "bad number")
+            << opt;
+    }
+    applyConfigOption(cfg, "bpred.gselectHistoryBits=32");
+    EXPECT_EQ(cfg.bpred.gselectHistoryBits, 32u);
+    applyConfigOption(cfg, "bpred.gselectHistoryBits=0");
+    EXPECT_EQ(cfg.bpred.gselectHistoryBits, 0u);
+    applyConfigOption(cfg, "mdp.mdptAssoc=1");
+    EXPECT_EQ(cfg.mdp.mdptAssoc, 1u);
+}
+
 TEST(ConfigParseDeathTest, MissingEquals)
 {
     SimConfig cfg;

@@ -676,6 +676,32 @@ TEST(SvcServer, IsolatedExecutorStreamsIntervalSamples)
     EXPECT_EQ(ev(event, "failed"), "0");
 }
 
+TEST(SvcServer, OneSlotServesEveryRunFromOneWorker)
+{
+    ServerOptions opts;
+    opts.slots = 1;
+    opts.timeoutSec = 60;
+    LiveServer live("svc_reuse", opts);
+    ASSERT_TRUE(live.started);
+    Client c = live.connect();
+    std::string err;
+    ASSERT_TRUE(c.sendLine(
+        "{\"cmd\":\"submit\",\"id\":\"ten\","
+        "\"workloads\":\"129.compress,130.li\","
+        "\"configs\":\"mdp.policy=NO;mdp.policy=NAV;mdp.policy=SYNC;"
+        "mdp.policy=STORE;mdp.policy=ORACLE\"}",
+        &err));
+    Event event;
+    ASSERT_TRUE(awaitEvent(c, "accepted", event));
+    ASSERT_TRUE(awaitEvent(c, "done", event));
+    EXPECT_EQ(ev(event, "failed"), "0");
+    ASSERT_TRUE(c.sendLine("{\"cmd\":\"stats\"}", &err));
+    ASSERT_TRUE(awaitEvent(c, "stats", event));
+    EXPECT_EQ(ev(event, "cwsimd_runs_executed_total"), "10");
+    EXPECT_EQ(ev(event, "cwsim_pool_forks_total"), "1")
+        << "the slot's worker runs every job";
+}
+
 TEST(SvcServer, StatsVerbCarriesTheMetricsRegistrySnapshot)
 {
     LiveServer live("svc_stats");

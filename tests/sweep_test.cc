@@ -992,6 +992,55 @@ TEST(BenchCliTest, RejectsSignedCounts)
     }
 }
 
+TEST(BenchCliTest, RejectsCountsWiderThanTheirField)
+{
+    // These parsed 64 bits and were then cast to 32: "--jobs
+    // 4294967297" ran one worker, and a --mem-limit past 2^44 MiB
+    // wrapped to a 1 MiB RLIMIT_AS that killed every run.
+    const std::pair<const char *, const char *> bad[] = {
+        {"--jobs", "4294967296"},
+        {"--jobs", "4294967297"},
+        {"--retries", "4294967296"},
+        {"--mem-limit", "17592186044416"},
+        {"--mem-limit", "17592186044417"},
+    };
+    for (const auto &[flag, value] : bad) {
+        const char *argv[] = {"bench", flag, value};
+        EXPECT_EXIT(sweep::parseBenchArgs(3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1), "must be <=")
+            << flag << " " << value;
+    }
+    const char *widest[] = {"bench", "--jobs", "4294967295", "--retries",
+                            "4294967295", "--mem-limit",
+                            "17592186044415"};
+    sweep::BenchOptions opts = sweep::parseBenchArgs(
+        static_cast<int>(std::size(widest)),
+        const_cast<char **>(widest));
+    EXPECT_EQ(opts.jobs, 4294967295u);
+    EXPECT_EQ(opts.retries, 4294967295u);
+    EXPECT_EQ(opts.memLimitMb, 17592186044415u);
+}
+
+TEST(BenchCliTest, EnvCountsWiderThanTheirFieldFallBack)
+{
+    const char *bare[] = {"bench"};
+    setenv("CWSIM_RETRIES", "4294967296", 1);
+    setenv("CWSIM_MEM_LIMIT", "17592186044417", 1);
+    sweep::BenchOptions opts =
+        sweep::parseBenchArgs(1, const_cast<char **>(bare));
+    EXPECT_EQ(opts.retries, 1u) << "wrapped to 0 retries";
+    EXPECT_EQ(opts.memLimitMb, 0u);
+    unsetenv("CWSIM_RETRIES");
+    unsetenv("CWSIM_MEM_LIMIT");
+
+    // CWSIM_JOBS=2^32+1 used to resolve to one worker, not the
+    // default of every hardware thread.
+    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    setenv("CWSIM_JOBS", "4294967297", 1);
+    EXPECT_EQ(sweep::resolveJobs(0), hw);
+    unsetenv("CWSIM_JOBS");
+}
+
 TEST(BenchCliTest, RejectsNonFiniteOrPaddedSeconds)
 {
     // "--timeout inf" used to be accepted, and every isolated run then

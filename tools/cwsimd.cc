@@ -22,9 +22,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "base/str.hh"
+#include "sweep/isolate.hh"
 #include "sweep/sweep.hh"
 #include "svc/log.hh"
 #include "svc/protocol.hh"
@@ -58,7 +60,7 @@ usage(const char *argv0, std::FILE *out)
         "                   specs that omit one (default: CWSIM_SCALE\n"
         "                   env, else 80000)\n"
         "  --timeout S      wall-clock deadline per run, seconds\n"
-        "  --mem-limit MB   address-space cap per run, MiB\n"
+        "  --mem-limit MB   address-space cap per worker process, MiB\n"
         "  --retries N      retries for host-level run failures\n"
         "  --max-queued N   bounded admission queue (default 1024)\n"
         "  --quota N        per-client in-flight run cap (default 512)\n"
@@ -74,13 +76,22 @@ usage(const char *argv0, std::FILE *out)
     return out == stdout ? 0 : 2;
 }
 
+/** The most a 32-bit count (--jobs, --retries) can hold. */
+constexpr uint64_t max_count32 = std::numeric_limits<unsigned>::max();
+
 uint64_t
-parseU64(const char *flag, const char *text)
+parseU64(const char *flag, const char *text,
+         uint64_t max = std::numeric_limits<uint64_t>::max())
 {
     uint64_t v = 0;
     if (!cwsim::parseUnsigned(text, v)) {
         std::fprintf(stderr, "cwsimd: %s: not a number: '%s'\n", flag,
                      text);
+        std::exit(2);
+    }
+    if (v > max) {
+        std::fprintf(stderr, "cwsimd: %s: at most %llu: '%s'\n", flag,
+                     static_cast<unsigned long long>(max), text);
         std::exit(2);
     }
     return v;
@@ -141,8 +152,8 @@ main(int argc, char **argv)
         } else if (arg == "--cache-dir") {
             opts.cacheDir = value("--cache-dir");
         } else if (arg == "--jobs") {
-            opts.slots = static_cast<unsigned>(
-                parseU64("--jobs", value("--jobs")));
+            opts.slots = static_cast<unsigned>(parseU64(
+                "--jobs", value("--jobs"), max_count32));
         } else if (arg == "--scale") {
             opts.defaultScale = parseU64("--scale", value("--scale"));
         } else if (arg == "--timeout") {
@@ -150,10 +161,11 @@ main(int argc, char **argv)
                 parseSecondsArg("--timeout", value("--timeout"));
         } else if (arg == "--mem-limit") {
             opts.memLimitMb =
-                parseU64("--mem-limit", value("--mem-limit"));
+                parseU64("--mem-limit", value("--mem-limit"),
+                         cwsim::sweep::max_mem_limit_mb);
         } else if (arg == "--retries") {
-            opts.retries = static_cast<unsigned>(
-                parseU64("--retries", value("--retries")));
+            opts.retries = static_cast<unsigned>(parseU64(
+                "--retries", value("--retries"), max_count32));
         } else if (arg == "--max-queued") {
             opts.limits.maxQueued =
                 parseU64("--max-queued", value("--max-queued"));
