@@ -1,6 +1,7 @@
 #include "base/jsonl.hh"
 
 #include <cctype>
+#include <limits>
 
 #include "base/str.hh"
 
@@ -248,6 +249,52 @@ parseFlatJson(const std::string &line,
         }
         return false;
     }
+}
+
+bool
+getU64(const std::map<std::string, std::string> &fields,
+       const std::string &key, uint64_t &out)
+{
+    auto it = fields.find(key);
+    return it != fields.end() && parseUnsigned(it->second, out);
+}
+
+bool
+getF64(const std::map<std::string, std::string> &fields,
+       const std::string &key, double &out)
+{
+    auto it = fields.find(key);
+    if (it == fields.end())
+        return false;
+    if (it->second == "nan") {
+        out = std::numeric_limits<double>::quiet_NaN();
+        return true;
+    }
+    return parseDouble(it->second, out);
+}
+
+bool
+getStr(const std::map<std::string, std::string> &fields,
+       const std::string &key, std::string &out)
+{
+    auto it = fields.find(key);
+    if (it == fields.end())
+        return false;
+    out = it->second;
+    return true;
+}
+
+bool
+getBool(const std::map<std::string, std::string> &fields,
+        const std::string &key, bool &out)
+{
+    auto it = fields.find(key);
+    if (it == fields.end() ||
+        (it->second != "true" && it->second != "false")) {
+        return false;
+    }
+    out = it->second == "true";
+    return true;
 }
 
 } // namespace cwsim

@@ -56,6 +56,21 @@ class JsonObject
 bool parseFlatJson(const std::string &line,
                    std::map<std::string, std::string> &out);
 
+/**
+ * Typed reads of one parseFlatJson() field. Each returns false when
+ * @p key is missing or its text is not a value of the type: getU64
+ * takes digits only (parseUnsigned), getF64 a parseDouble() number or
+ * "nan" (JsonObject's spelling of a NaN), getBool "true" or "false".
+ */
+bool getU64(const std::map<std::string, std::string> &fields,
+            const std::string &key, uint64_t &out);
+bool getF64(const std::map<std::string, std::string> &fields,
+            const std::string &key, double &out);
+bool getStr(const std::map<std::string, std::string> &fields,
+            const std::string &key, std::string &out);
+bool getBool(const std::map<std::string, std::string> &fields,
+             const std::string &key, bool &out);
+
 } // namespace cwsim
 
 #endif // CWSIM_BASE_JSONL_HH

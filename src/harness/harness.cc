@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <tuple>
 
-#include "base/arena.hh"
 #include "base/logging.hh"
 #include "base/sim_error.hh"
 #include "base/str.hh"
@@ -210,11 +209,6 @@ Runner::run(const std::string &name, const SimConfig &cfg)
         warn("run failed (%s, %s): %s", name.c_str(),
              cfg.name().c_str(), e.summary().c_str());
     }
-    // The Processor (and with it every arena-backed container) is dead
-    // on both the normal and the error path by now; reclaim the run's
-    // transient allocations wholesale so the next run on this worker
-    // bumps through warm, already-faulted chunks.
-    runArena().reset();
     return r;
 }
 

@@ -1,7 +1,6 @@
 #include "mdp/dep_profile.hh"
 
 #include <fstream>
-#include <limits>
 
 #include "base/jsonl.hh"
 #include "base/str.hh"
@@ -15,27 +14,6 @@ namespace
 {
 
 using Fields = std::map<std::string, std::string>;
-
-bool
-getU64(const Fields &fields, const std::string &key, uint64_t &out)
-{
-    auto it = fields.find(key);
-    return it != fields.end() && parseUnsigned(it->second, out);
-}
-
-bool
-getF64(const Fields &fields, const std::string &key, double &out)
-{
-    // JsonObject writes a NaN as the string "nan".
-    auto it = fields.find(key);
-    if (it == fields.end())
-        return false;
-    if (it->second == "nan") {
-        out = std::numeric_limits<double>::quiet_NaN();
-        return true;
-    }
-    return parseDouble(it->second, out);
-}
 
 /** PCs travel as "0x<hex>" strings (JSON numbers lose 64-bit range). */
 bool
@@ -82,6 +60,46 @@ parseDist(const std::string &s,
         pos = semi == std::string::npos ? s.size() : semi + 1;
     }
     return true;
+}
+
+/**
+ * Add each counter @p table names from @p fields into @p rec; false
+ * when one is missing or malformed.
+ */
+template <class Counters, size_t N>
+bool
+getCounters(const Fields &fields,
+            const obs::DepCounterField<Counters> (&table)[N],
+            Counters &rec)
+{
+    for (const auto &f : table) {
+        uint64_t v = 0;
+        if (!getU64(fields, f.name, v))
+            return false;
+        rec.*f.member += v;
+    }
+    return true;
+}
+
+/**
+ * Read one per-PC record of @p kind into @p into: its "pc" key and
+ * its counters. Returns the complaint, or "" on success.
+ */
+template <class Counters, size_t N>
+std::string
+readPcRecord(const Fields &fields, const char *kind,
+             const obs::DepCounterField<Counters> (&table)[N],
+             std::map<Addr, Counters> &into)
+{
+    Addr pc = 0;
+    Counters rec;
+    if (!getPc(fields, "pc", pc) || !getCounters(fields, table, rec))
+        return strfmt("%s record missing or malformed fields", kind);
+    if (!into.emplace(pc, rec).second) {
+        return strfmt("duplicate %s pc 0x%llx", kind,
+                      static_cast<unsigned long long>(pc));
+    }
+    return "";
 }
 
 /** The header's expected record counts, checked at block close. */
@@ -201,136 +219,52 @@ DepProfileFile::parseLines(const std::vector<std::string> &lines)
             continue;
         }
 
+        std::string complaint;
         if (kind == "load") {
-            Addr pc = 0;
-            uint64_t execs = 0, forwards = 0, replays = 0,
-                     violations = 0, sync_waits = 0, sel_holds = 0,
-                     barrier_holds = 0, fd_loads = 0, fd_cycles = 0,
-                     td_loads = 0, commits = 0;
-            if (!getPc(fields, "pc", pc) ||
-                !getU64(fields, "execs", execs) ||
-                !getU64(fields, "forwards", forwards) ||
-                !getU64(fields, "replays", replays) ||
-                !getU64(fields, "violations", violations) ||
-                !getU64(fields, "sync_waits", sync_waits) ||
-                !getU64(fields, "sel_holds", sel_holds) ||
-                !getU64(fields, "barrier_holds", barrier_holds) ||
-                !getU64(fields, "false_dep_loads", fd_loads) ||
-                !getU64(fields, "false_dep_cycles", fd_cycles) ||
-                !getU64(fields, "true_dep_loads", td_loads) ||
-                !getU64(fields, "commits", commits)) {
-                fail(i, "load record missing or malformed fields");
-                continue;
-            }
-            if (cur->loads.count(pc)) {
-                fail(i, strfmt("duplicate load pc 0x%llx",
-                               static_cast<unsigned long long>(pc)));
-                continue;
-            }
-            obs::DepLoadCounters &rec = cur->loads[pc];
-            rec.execs += execs;
-            rec.forwards += forwards;
-            rec.replays += replays;
-            rec.violations += violations;
-            rec.syncWaits += sync_waits;
-            rec.selHolds += sel_holds;
-            rec.barrierHolds += barrier_holds;
-            rec.falseDepLoads += fd_loads;
-            rec.falseDepCycles += fd_cycles;
-            rec.trueDepLoads += td_loads;
-            rec.commits += commits;
+            complaint = readPcRecord(fields, "load", obs::dep_load_fields,
+                                     cur->loads);
         } else if (kind == "store") {
-            Addr pc = 0;
-            uint64_t commits = 0, caused = 0, barriers = 0,
-                     produces = 0;
-            if (!getPc(fields, "pc", pc) ||
-                !getU64(fields, "commits", commits) ||
-                !getU64(fields, "violations_caused", caused) ||
-                !getU64(fields, "barriers", barriers) ||
-                !getU64(fields, "sync_produces", produces)) {
-                fail(i, "store record missing or malformed fields");
-                continue;
-            }
-            if (cur->stores.count(pc)) {
-                fail(i, strfmt("duplicate store pc 0x%llx",
-                               static_cast<unsigned long long>(pc)));
-                continue;
-            }
-            obs::DepStoreCounters &rec = cur->stores[pc];
-            rec.commits += commits;
-            rec.violationsCaused += caused;
-            rec.barriers += barriers;
-            rec.syncProduces += produces;
+            complaint = readPcRecord(fields, "store",
+                                     obs::dep_store_fields, cur->stores);
+        } else if (kind == "mdpt") {
+            complaint = readPcRecord(fields, "mdpt", obs::dep_mdpt_fields,
+                                     cur->mdpt);
         } else if (kind == "edge") {
             Addr store_pc = 0, load_pc = 0;
-            uint64_t violations = 0, syncs = 0, full = 0, partial = 0;
+            obs::DepEdgeCounters rec;
             auto dist_it = fields.find("dist");
-            std::array<uint64_t, obs::dep_dist_buckets> dist{};
             if (!getPc(fields, "store_pc", store_pc) ||
                 !getPc(fields, "load_pc", load_pc) ||
-                !getU64(fields, "violations", violations) ||
-                !getU64(fields, "syncs", syncs) ||
-                !getU64(fields, "full_overlaps", full) ||
-                !getU64(fields, "partial_overlaps", partial) ||
+                !getCounters(fields, obs::dep_edge_fields, rec) ||
                 dist_it == fields.end() ||
-                !parseDist(dist_it->second, dist)) {
-                fail(i, "edge record missing or malformed fields");
-                continue;
+                !parseDist(dist_it->second, rec.dist)) {
+                complaint = "edge record missing or malformed fields";
+            } else if (!cur->edges
+                            .emplace(obs::DepEdgeKey(store_pc, load_pc),
+                                     rec)
+                            .second) {
+                complaint = strfmt(
+                    "duplicate edge 0x%llx -> 0x%llx",
+                    static_cast<unsigned long long>(store_pc),
+                    static_cast<unsigned long long>(load_pc));
             }
-            obs::DepEdgeKey key(store_pc, load_pc);
-            if (cur->edges.count(key)) {
-                fail(i, strfmt("duplicate edge 0x%llx -> 0x%llx",
-                               static_cast<unsigned long long>(
-                                   store_pc),
-                               static_cast<unsigned long long>(
-                                   load_pc)));
-                continue;
-            }
-            obs::DepEdgeCounters &rec = cur->edges[key];
-            rec.violations += violations;
-            rec.syncs += syncs;
-            rec.fullOverlaps += full;
-            rec.partialOverlaps += partial;
-            rec.dist = dist;
-        } else if (kind == "mdpt") {
-            Addr pc = 0;
-            uint64_t allocs = 0, evicts = 0, pairs = 0, merges = 0,
-                     miss_specs = 0;
-            if (!getPc(fields, "pc", pc) ||
-                !getU64(fields, "allocs", allocs) ||
-                !getU64(fields, "evicts", evicts) ||
-                !getU64(fields, "pairs", pairs) ||
-                !getU64(fields, "merges", merges) ||
-                !getU64(fields, "miss_specs", miss_specs)) {
-                fail(i, "mdpt record missing or malformed fields");
-                continue;
-            }
-            if (cur->mdpt.count(pc)) {
-                fail(i, strfmt("duplicate mdpt pc 0x%llx",
-                               static_cast<unsigned long long>(pc)));
-                continue;
-            }
-            obs::DepMdptCounters &rec = cur->mdpt[pc];
-            rec.allocs += allocs;
-            rec.evicts += evicts;
-            rec.pairs += pairs;
-            rec.merges += merges;
-            rec.missSpecs += miss_specs;
         } else if (kind == "mdpt_sample") {
             obs::DepMdptSample s;
             if (!getU64(fields, "cycle", s.cycle) ||
                 !getU64(fields, "occupancy", s.occupancy) ||
                 !getF64(fields, "mean_confidence",
                         s.meanConfidence)) {
-                fail(i, "mdpt_sample record missing or malformed "
-                        "fields");
-                continue;
+                complaint = "mdpt_sample record missing or malformed "
+                            "fields";
+            } else {
+                cur->mdptSamples.push_back(s);
             }
-            cur->mdptSamples.push_back(s);
         } else {
-            fail(i, strfmt("unknown record kind \"%s\"",
-                           kind.c_str()));
+            complaint = strfmt("unknown record kind \"%s\"",
+                               kind.c_str());
         }
+        if (!complaint.empty())
+            fail(i, complaint);
     }
     closeBlock(lines.size() ? lines.size() - 1 : 0);
     return errorList.empty();

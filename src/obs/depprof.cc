@@ -52,48 +52,47 @@ DepProfile::DepProfile(std::string sim_name, std::string run_label,
         group = std::make_unique<stats::StatGroup>("depprof", parent);
 }
 
+namespace
+{
+
+/**
+ * Register @p rec's counters as "<kind>_0x<pc>.<name>" stats. Map
+ * nodes are address-stable, so pointers into a freshly inserted
+ * record stay valid for the group's lifetime.
+ */
+template <class Counters, size_t N>
+void
+registerCounters(stats::StatGroup &group, const char *kind, Addr pc,
+                 const DepCounterField<Counters> (&fields)[N],
+                 const Counters &rec)
+{
+    std::string base = strfmt("%s_0x%llx.", kind,
+                              static_cast<unsigned long long>(pc));
+    for (const auto &f : fields)
+        group.addScalar(base + f.name, &(rec.*f.member));
+}
+
+} // anonymous namespace
+
 DepLoadCounters &
 DepProfile::loadRec(Addr pc)
 {
     auto [it, fresh] = loadMap.try_emplace(pc);
-    DepLoadCounters &rec = it->second;
-    if (fresh && group) {
-        // Map nodes are address-stable, so registering pointers into
-        // the freshly inserted record is safe for the group's lifetime.
-        std::string base = strfmt("load_0x%llx",
-                                  static_cast<unsigned long long>(pc));
-        group->addScalar(base + ".execs", &rec.execs);
-        group->addScalar(base + ".forwards", &rec.forwards);
-        group->addScalar(base + ".replays", &rec.replays);
-        group->addScalar(base + ".violations", &rec.violations);
-        group->addScalar(base + ".sync_waits", &rec.syncWaits);
-        group->addScalar(base + ".sel_holds", &rec.selHolds);
-        group->addScalar(base + ".barrier_holds", &rec.barrierHolds);
-        group->addScalar(base + ".false_dep_loads",
-                         &rec.falseDepLoads);
-        group->addScalar(base + ".false_dep_cycles",
-                         &rec.falseDepCycles);
-        group->addScalar(base + ".true_dep_loads", &rec.trueDepLoads);
-        group->addScalar(base + ".commits", &rec.commits);
-    }
-    return rec;
+    if (fresh && group)
+        registerCounters(*group, "load", pc, dep_load_fields,
+                         it->second);
+    return it->second;
 }
 
 DepStoreCounters &
 DepProfile::storeRec(Addr pc)
 {
     auto [it, fresh] = storeMap.try_emplace(pc);
-    DepStoreCounters &rec = it->second;
     if (fresh && group) {
-        std::string base = strfmt("store_0x%llx",
-                                  static_cast<unsigned long long>(pc));
-        group->addScalar(base + ".commits", &rec.commits);
-        group->addScalar(base + ".violations_caused",
-                         &rec.violationsCaused);
-        group->addScalar(base + ".barriers", &rec.barriers);
-        group->addScalar(base + ".sync_produces", &rec.syncProduces);
+        registerCounters(*group, "store", pc, dep_store_fields,
+                         it->second);
     }
-    return rec;
+    return it->second;
 }
 
 DepEdgeCounters &
@@ -297,84 +296,50 @@ DepProfile::hotEdges(size_t k) const
 void
 DepProfile::serialize(std::vector<std::string> &out) const
 {
-    const uint64_t v = dep_profile_version;
-    {
+    auto record = [&](const char *kind) {
         JsonObject obj;
-        obj.add("v", v)
-            .add("kind", "header")
-            .add("run", run)
-            .add("sim", sim)
-            .add("loads", static_cast<uint64_t>(loadMap.size()))
-            .add("stores", static_cast<uint64_t>(storeMap.size()))
-            .add("edges", static_cast<uint64_t>(edgeMap.size()))
-            .add("mdpt_pcs", static_cast<uint64_t>(mdptMap.size()))
-            .add("mdpt_samples", static_cast<uint64_t>(samples.size()));
-        out.push_back(obj.str());
-    }
-    for (const auto &[pc, rec] : loadMap) {
-        JsonObject obj;
-        obj.add("v", v)
-            .add("kind", "load")
-            .add("run", run)
-            .add("pc", pcString(pc))
-            .add("execs", rec.execs.value())
-            .add("forwards", rec.forwards.value())
-            .add("replays", rec.replays.value())
-            .add("violations", rec.violations.value())
-            .add("sync_waits", rec.syncWaits.value())
-            .add("sel_holds", rec.selHolds.value())
-            .add("barrier_holds", rec.barrierHolds.value())
-            .add("false_dep_loads", rec.falseDepLoads.value())
-            .add("false_dep_cycles", rec.falseDepCycles.value())
-            .add("true_dep_loads", rec.trueDepLoads.value())
-            .add("commits", rec.commits.value());
-        out.push_back(obj.str());
-    }
-    for (const auto &[pc, rec] : storeMap) {
-        JsonObject obj;
-        obj.add("v", v)
-            .add("kind", "store")
-            .add("run", run)
-            .add("pc", pcString(pc))
-            .add("commits", rec.commits.value())
-            .add("violations_caused", rec.violationsCaused.value())
-            .add("barriers", rec.barriers.value())
-            .add("sync_produces", rec.syncProduces.value());
-        out.push_back(obj.str());
-    }
+        obj.add("v", uint64_t{dep_profile_version})
+            .add("kind", kind)
+            .add("run", run);
+        return obj;
+    };
+    auto addCounters = [](JsonObject &obj, const auto &fields,
+                          const auto &rec) {
+        for (const auto &f : fields)
+            obj.add(f.name, (rec.*f.member).value());
+    };
+    auto pcRecords = [&](const char *kind, const auto &map,
+                         const auto &fields) {
+        for (const auto &[pc, rec] : map) {
+            JsonObject obj = record(kind);
+            obj.add("pc", pcString(pc));
+            addCounters(obj, fields, rec);
+            out.push_back(obj.str());
+        }
+    };
+
+    JsonObject header = record("header");
+    header.add("sim", sim)
+        .add("loads", static_cast<uint64_t>(loadMap.size()))
+        .add("stores", static_cast<uint64_t>(storeMap.size()))
+        .add("edges", static_cast<uint64_t>(edgeMap.size()))
+        .add("mdpt_pcs", static_cast<uint64_t>(mdptMap.size()))
+        .add("mdpt_samples", static_cast<uint64_t>(samples.size()));
+    out.push_back(header.str());
+    pcRecords("load", loadMap, dep_load_fields);
+    pcRecords("store", storeMap, dep_store_fields);
     for (const auto &[key, edge] : edgeMap) {
-        JsonObject obj;
-        obj.add("v", v)
-            .add("kind", "edge")
-            .add("run", run)
-            .add("store_pc", pcString(key.first))
-            .add("load_pc", pcString(key.second))
-            .add("violations", edge.violations.value())
-            .add("syncs", edge.syncs.value())
-            .add("full_overlaps", edge.fullOverlaps.value())
-            .add("partial_overlaps", edge.partialOverlaps.value())
-            .add("dist", distString(edge.dist));
+        JsonObject obj = record("edge");
+        obj.add("store_pc", pcString(key.first))
+            .add("load_pc", pcString(key.second));
+        addCounters(obj, dep_edge_fields, edge);
+        obj.add("dist", distString(edge.dist));
         out.push_back(obj.str());
     }
-    for (const auto &[pc, rec] : mdptMap) {
-        JsonObject obj;
-        obj.add("v", v)
-            .add("kind", "mdpt")
-            .add("run", run)
-            .add("pc", pcString(pc))
-            .add("allocs", rec.allocs.value())
-            .add("evicts", rec.evicts.value())
-            .add("pairs", rec.pairs.value())
-            .add("merges", rec.merges.value())
-            .add("miss_specs", rec.missSpecs.value());
-        out.push_back(obj.str());
-    }
+    pcRecords("mdpt", mdptMap, dep_mdpt_fields);
     for (const DepMdptSample &s : samples) {
-        JsonObject obj;
-        obj.add("v", v)
-            .add("kind", "mdpt_sample")
-            .add("run", run)
-            .add("cycle", s.cycle)
+        JsonObject obj = record("mdpt_sample");
+        obj.add("cycle", s.cycle)
             .add("occupancy", s.occupancy)
             .add("mean_confidence", s.meanConfidence);
         out.push_back(obj.str());

@@ -140,6 +140,60 @@ struct DepMdptCounters
     stats::Scalar missSpecs; ///< recordMissSpeculation hits.
 };
 
+/**
+ * One counter of a dependence-profile record: its wire name, which is
+ * also its stat name under "<parent>.depprof.<kind>_0x<pc>.", and its
+ * member.
+ */
+template <class Counters>
+struct DepCounterField
+{
+    const char *name;
+    stats::Scalar Counters::*member;
+};
+
+/**
+ * Each counter struct's fields, in wire order. The stats registration,
+ * DepProfile::serialize() and mdp::DepProfileFile all walk these
+ * tables; the header, the PC keys, an edge's "dist" and the
+ * mdpt_sample records are written out by hand.
+ */
+inline constexpr DepCounterField<DepLoadCounters> dep_load_fields[] = {
+    {"execs", &DepLoadCounters::execs},
+    {"forwards", &DepLoadCounters::forwards},
+    {"replays", &DepLoadCounters::replays},
+    {"violations", &DepLoadCounters::violations},
+    {"sync_waits", &DepLoadCounters::syncWaits},
+    {"sel_holds", &DepLoadCounters::selHolds},
+    {"barrier_holds", &DepLoadCounters::barrierHolds},
+    {"false_dep_loads", &DepLoadCounters::falseDepLoads},
+    {"false_dep_cycles", &DepLoadCounters::falseDepCycles},
+    {"true_dep_loads", &DepLoadCounters::trueDepLoads},
+    {"commits", &DepLoadCounters::commits},
+};
+
+inline constexpr DepCounterField<DepStoreCounters> dep_store_fields[] = {
+    {"commits", &DepStoreCounters::commits},
+    {"violations_caused", &DepStoreCounters::violationsCaused},
+    {"barriers", &DepStoreCounters::barriers},
+    {"sync_produces", &DepStoreCounters::syncProduces},
+};
+
+inline constexpr DepCounterField<DepEdgeCounters> dep_edge_fields[] = {
+    {"violations", &DepEdgeCounters::violations},
+    {"syncs", &DepEdgeCounters::syncs},
+    {"full_overlaps", &DepEdgeCounters::fullOverlaps},
+    {"partial_overlaps", &DepEdgeCounters::partialOverlaps},
+};
+
+inline constexpr DepCounterField<DepMdptCounters> dep_mdpt_fields[] = {
+    {"allocs", &DepMdptCounters::allocs},
+    {"evicts", &DepMdptCounters::evicts},
+    {"pairs", &DepMdptCounters::pairs},
+    {"merges", &DepMdptCounters::merges},
+    {"miss_specs", &DepMdptCounters::missSpecs},
+};
+
 /** One occupancy/confidence snapshot (taken at reset boundaries). */
 struct DepMdptSample
 {

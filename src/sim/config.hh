@@ -90,10 +90,6 @@ struct MemConfig
     CacheConfig icache{"icache", 64 * 1024, 2, 8, 32, 2, 2, 1};
     CacheConfig dcache{"dcache", 32 * 1024, 2, 4, 32, 2, 8, 8};
     CacheConfig l2{"l2", 4 * 1024 * 1024, 2, 4, 128, 8, 4, 3};
-    /** L1 miss, L2 hit latency (cycles, plus word-transfer time). */
-    Cycles l2AccessLatency = 10;
-    /** L1/L2 miss to main memory (cycles). */
-    Cycles memAccessLatency = 50;
     /** Main-memory access: 34 cycles + 4-word transfers * 2 cycles. */
     Cycles memBaseLatency = 34;
     Cycles memTransferPer4Words = 2;
@@ -111,7 +107,6 @@ struct BPredConfig
     unsigned btbEntries = 2 * 1024;
     unsigned rasEntries = 64;
     unsigned predictionsPerCycle = 4;
-    unsigned resolutionsPerCycle = 4;
 };
 
 /** Out-of-order core parameters (Table 2). */
@@ -278,9 +273,9 @@ SimConfig withPolicy(SimConfig cfg, LsqModel model, SpecPolicy policy,
  * Canonical, exhaustive key=value rendering of @p cfg — every field of
  * every sub-struct (including check.* and check.faults.*) in a fixed
  * order. Two configs serialize identically iff they would simulate
- * identically, which is what the sweep run cache keys on; keep this in
- * sync when adding config fields, or stale cache entries will be
- * served for runs the new field changes.
+ * identically, which is what the sweep run cache keys on. Defined in
+ * sim/config_parse.cc beside the parser: both walk one field table,
+ * and a field missing from it is a field the run cache cannot see.
  */
 std::string serializeConfig(const SimConfig &cfg);
 

@@ -1,9 +1,7 @@
 #include "sim/config_parse.hh"
 
 #include <fstream>
-#include <functional>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <type_traits>
 
@@ -16,7 +14,147 @@ namespace cwsim
 namespace
 {
 
-using Setter = std::function<void(SimConfig &, const std::string &)>;
+/** How applyConfigOption() reads a row's value. */
+enum class Parse
+{
+    None,        ///< Printed only: the key is refused as unknown.
+    /**
+     * By the field's type: a number up to the field's maximum, a
+     * probability in [0, 1] (the fault rates, the only doubles), or
+     * an enum's name.
+     */
+    Value,
+    Queue,       ///< A window or store-buffer size: 1 to max_queue_size.
+    Divisor,     ///< A count the simulator divides by: at least 1.
+    HistoryBits, ///< Global-history bits: 0 to max_history_bits.
+};
+
+/**
+ * The config text's one field table, in print order: @p row is called
+ * as row(key, field, rule) once per `key=value` line.
+ * serializeConfig() prints every row; applyConfigOption() and
+ * configKeys() take the rows whose rule is not None. The three rows
+ * that print literals stand for knobs nothing in the simulator read
+ * (the L2 hit time is mem.l2.hitLatency); their lines stay so that no
+ * run-cache fingerprint moves.
+ */
+template <class Config, class Row>
+void
+forEachField(Config &c, Row &&row)
+{
+    auto &core = c.core;
+    row("core.fetchWidth", core.fetchWidth, Parse::Value);
+    row("core.fetchMaxBlocks", core.fetchMaxBlocks, Parse::None);
+    row("core.maxFetchRequests", core.maxFetchRequests, Parse::None);
+    row("core.fetchToDispatch", core.fetchToDispatch, Parse::Value);
+    row("core.windowSize", core.windowSize, Parse::Queue);
+    row("core.lsqSize", core.lsqSize, Parse::Value);
+    row("core.storeBufferSize", core.storeBufferSize, Parse::Queue);
+    row("core.issueWidth", core.issueWidth, Parse::Value);
+    row("core.commitWidth", core.commitWidth, Parse::Value);
+    row("core.memPorts", core.memPorts, Parse::Value);
+    row("core.fuCopies", core.fuCopies, Parse::Value);
+    row("core.lsqInputPorts", core.lsqInputPorts, Parse::Value);
+
+    auto &ic = c.mem.icache;
+    row("mem.icache.sizeBytes", ic.sizeBytes, Parse::Value);
+    row("mem.icache.assoc", ic.assoc, Parse::None);
+    row("mem.icache.banks", ic.banks, Parse::None);
+    row("mem.icache.blockSize", ic.blockSize, Parse::None);
+    row("mem.icache.hitLatency", ic.hitLatency, Parse::Value);
+    row("mem.icache.primaryMshrsPerBank", ic.primaryMshrsPerBank,
+        Parse::None);
+    row("mem.icache.secondaryPerPrimary", ic.secondaryPerPrimary,
+        Parse::None);
+
+    auto &dc = c.mem.dcache;
+    row("mem.dcache.sizeBytes", dc.sizeBytes, Parse::Value);
+    row("mem.dcache.assoc", dc.assoc, Parse::Divisor);
+    row("mem.dcache.banks", dc.banks, Parse::Value);
+    row("mem.dcache.blockSize", dc.blockSize, Parse::None);
+    row("mem.dcache.hitLatency", dc.hitLatency, Parse::Value);
+    row("mem.dcache.primaryMshrsPerBank", dc.primaryMshrsPerBank,
+        Parse::None);
+    row("mem.dcache.secondaryPerPrimary", dc.secondaryPerPrimary,
+        Parse::None);
+
+    auto &l2 = c.mem.l2;
+    row("mem.l2.sizeBytes", l2.sizeBytes, Parse::Value);
+    row("mem.l2.assoc", l2.assoc, Parse::None);
+    row("mem.l2.banks", l2.banks, Parse::None);
+    row("mem.l2.blockSize", l2.blockSize, Parse::None);
+    row("mem.l2.hitLatency", l2.hitLatency, Parse::None);
+    row("mem.l2.primaryMshrsPerBank", l2.primaryMshrsPerBank,
+        Parse::None);
+    row("mem.l2.secondaryPerPrimary", l2.secondaryPerPrimary,
+        Parse::None);
+
+    auto &mem = c.mem;
+    row("mem.l2AccessLatency", Cycles{10}, Parse::None);
+    row("mem.memAccessLatency", Cycles{50}, Parse::None);
+    row("mem.memBaseLatency", mem.memBaseLatency, Parse::Value);
+    row("mem.memTransferPer4Words", mem.memTransferPer4Words,
+        Parse::None);
+    row("mem.l2TransferPer4Words", mem.l2TransferPer4Words, Parse::None);
+
+    auto &bp = c.bpred;
+    row("bpred.predictorEntries", bp.predictorEntries, Parse::Value);
+    row("bpred.gselectHistoryBits", bp.gselectHistoryBits,
+        Parse::HistoryBits);
+    row("bpred.btbEntries", bp.btbEntries, Parse::Value);
+    row("bpred.rasEntries", bp.rasEntries, Parse::Divisor);
+    row("bpred.predictionsPerCycle", bp.predictionsPerCycle,
+        Parse::None);
+    row("bpred.resolutionsPerCycle", 4u, Parse::None);
+
+    auto &mdp = c.mdp;
+    row("mdp.lsqModel", mdp.lsqModel, Parse::Value);
+    row("mdp.policy", mdp.policy, Parse::Value);
+    row("mdp.asLatency", mdp.asLatency, Parse::Value);
+    row("mdp.mdptEntries", mdp.mdptEntries, Parse::Value);
+    row("mdp.mdptAssoc", mdp.mdptAssoc, Parse::Divisor);
+    row("mdp.counterBits", mdp.counterBits, Parse::Value);
+    row("mdp.predictThreshold", mdp.predictThreshold, Parse::Value);
+    row("mdp.resetInterval", mdp.resetInterval, Parse::Value);
+    row("mdp.recovery", mdp.recovery, Parse::Value);
+
+    auto &check = c.check;
+    row("check.level", check.level, Parse::Value);
+    row("check.watchdogInterval", check.watchdogInterval, Parse::Value);
+    row("check.flightRecorderSize", check.flightRecorderSize,
+        Parse::Value);
+
+    auto &f = c.check.faults;
+    row("check.faults.seed", f.seed, Parse::Value);
+    row("check.faults.spuriousViolationRate", f.spuriousViolationRate,
+        Parse::Value);
+    row("check.faults.storeAddrDelayRate", f.storeAddrDelayRate,
+        Parse::Value);
+    row("check.faults.storeAddrDelay", f.storeAddrDelay, Parse::Value);
+    row("check.faults.mdptDropRate", f.mdptDropRate, Parse::Value);
+    row("check.faults.mdptCorruptRate", f.mdptCorruptRate, Parse::Value);
+    row("check.faults.hostCrashRate", f.hostCrashRate, Parse::Value);
+    row("check.faults.hostHangRate", f.hostHangRate, Parse::Value);
+    row("check.faults.hostAllocRate", f.hostAllocRate, Parse::Value);
+
+    row("maxInsts", c.maxInsts, Parse::Value);
+    row("maxCycles", c.maxCycles, Parse::Value);
+}
+
+/** A row's value text: %.17g survives a double's round trip. */
+template <class Field>
+std::string
+printField(const Field &v)
+{
+    if constexpr (std::is_same_v<Field, double>)
+        return strfmt("%.17g", v);
+    else if constexpr (std::is_same_v<Field, RecoveryModel>)
+        return v == RecoveryModel::Squash ? "squash" : "selective";
+    else if constexpr (std::is_enum_v<Field>)
+        return toString(v);
+    else
+        return std::to_string(v);
+}
 
 /** Decimal, or hex after a 0x prefix; at most @p max (the field's). */
 uint64_t
@@ -33,20 +171,13 @@ parseU64(const std::string &key, const std::string &value, uint64_t max)
     return v;
 }
 
-double
-parseF64(const std::string &key, const std::string &value)
-{
-    double v = 0;
-    fatal_if(!parseDouble(value, v), "config: bad number '%s' for %s",
-             value.c_str(), key.c_str());
-    return v;
-}
-
 /** Fault-injection probabilities. */
 double
 parseRate(const std::string &key, const std::string &value)
 {
-    double v = parseF64(key, value);
+    double v = 0;
+    fatal_if(!parseDouble(value, v), "config: bad number '%s' for %s",
+             value.c_str(), key.c_str());
     fatal_if(v < 0 || v > 1, "config: bad number '%s' for %s (a rate "
              "in [0, 1])", value.c_str(), key.c_str());
     return v;
@@ -116,125 +247,47 @@ parseRecovery(const std::string &value)
           value.c_str());
 }
 
-#define U64_FIELD(key, expr)                                            \
-    {                                                                   \
-        key, [](SimConfig &c, const std::string &v) {                  \
-            using Field = std::remove_reference_t<decltype(expr)>;      \
-            expr = static_cast<Field>(parseU64(                         \
-                key, v, std::numeric_limits<Field>::max()));            \
-        }                                                               \
-    }
-
-#define RANGE_FIELD(key, expr, lo, hi)                                  \
-    {                                                                   \
-        key, [](SimConfig &c, const std::string &v) {                  \
-            using Field = std::remove_reference_t<decltype(expr)>;      \
-            expr = static_cast<Field>(parseInRange(key, v, lo, hi));    \
-        }                                                               \
-    }
-
-#define QUEUE_FIELD(key, expr) RANGE_FIELD(key, expr, 1, max_queue_size)
-
-/** A count the simulator divides by: at least 1. */
-#define DIVISOR_FIELD(key, expr)                                        \
-    RANGE_FIELD(key, expr, 1,                                           \
-                std::numeric_limits<                                    \
-                    std::remove_reference_t<decltype(expr)>>::max())
-
-#define RATE_FIELD(key, expr)                                           \
-    {                                                                   \
-        key, [](SimConfig &c, const std::string &v) {                  \
-            expr = parseRate(key, v);                                   \
-        }                                                               \
-    }
-
-const std::map<std::string, Setter> &
-setters()
+/** Read @p value into @p field by @p rule (not Parse::None). */
+template <class Field>
+void
+parseField(const std::string &key, const std::string &value, Parse rule,
+           Field &field)
 {
-    static const std::map<std::string, Setter> table = {
-        // Core.
-        QUEUE_FIELD("core.windowSize", c.core.windowSize),
-        U64_FIELD("core.lsqSize", c.core.lsqSize),
-        QUEUE_FIELD("core.storeBufferSize", c.core.storeBufferSize),
-        U64_FIELD("core.fetchWidth", c.core.fetchWidth),
-        U64_FIELD("core.fetchToDispatch", c.core.fetchToDispatch),
-        U64_FIELD("core.issueWidth", c.core.issueWidth),
-        U64_FIELD("core.commitWidth", c.core.commitWidth),
-        U64_FIELD("core.memPorts", c.core.memPorts),
-        U64_FIELD("core.fuCopies", c.core.fuCopies),
-        U64_FIELD("core.lsqInputPorts", c.core.lsqInputPorts),
-        // Memory hierarchy.
-        U64_FIELD("mem.dcache.sizeBytes", c.mem.dcache.sizeBytes),
-        DIVISOR_FIELD("mem.dcache.assoc", c.mem.dcache.assoc),
-        U64_FIELD("mem.dcache.banks", c.mem.dcache.banks),
-        U64_FIELD("mem.dcache.hitLatency", c.mem.dcache.hitLatency),
-        U64_FIELD("mem.icache.sizeBytes", c.mem.icache.sizeBytes),
-        U64_FIELD("mem.icache.hitLatency", c.mem.icache.hitLatency),
-        U64_FIELD("mem.l2.sizeBytes", c.mem.l2.sizeBytes),
-        U64_FIELD("mem.l2AccessLatency", c.mem.l2AccessLatency),
-        U64_FIELD("mem.memBaseLatency", c.mem.memBaseLatency),
-        // Branch prediction.
-        U64_FIELD("bpred.predictorEntries", c.bpred.predictorEntries),
-        RANGE_FIELD("bpred.gselectHistoryBits",
-                    c.bpred.gselectHistoryBits, 0, max_history_bits),
-        U64_FIELD("bpred.btbEntries", c.bpred.btbEntries),
-        DIVISOR_FIELD("bpred.rasEntries", c.bpred.rasEntries),
-        // Memory dependence speculation.
-        U64_FIELD("mdp.asLatency", c.mdp.asLatency),
-        U64_FIELD("mdp.mdptEntries", c.mdp.mdptEntries),
-        DIVISOR_FIELD("mdp.mdptAssoc", c.mdp.mdptAssoc),
-        U64_FIELD("mdp.counterBits", c.mdp.counterBits),
-        U64_FIELD("mdp.predictThreshold", c.mdp.predictThreshold),
-        U64_FIELD("mdp.resetInterval", c.mdp.resetInterval),
-        {"mdp.lsqModel",
-         [](SimConfig &c, const std::string &v) {
-             c.mdp.lsqModel = parseModel(v);
-         }},
-        {"mdp.policy",
-         [](SimConfig &c, const std::string &v) {
-             c.mdp.policy = parsePolicy(v);
-         }},
-        {"mdp.recovery",
-         [](SimConfig &c, const std::string &v) {
-             c.mdp.recovery = parseRecovery(v);
-         }},
-        // Checked simulation.
-        U64_FIELD("check.level", c.check.level),
-        U64_FIELD("check.watchdogInterval", c.check.watchdogInterval),
-        U64_FIELD("check.flightRecorderSize",
-                  c.check.flightRecorderSize),
-        // Fault injection.
-        U64_FIELD("check.faults.seed", c.check.faults.seed),
-        RATE_FIELD("check.faults.spuriousViolationRate",
-                   c.check.faults.spuriousViolationRate),
-        RATE_FIELD("check.faults.storeAddrDelayRate",
-                   c.check.faults.storeAddrDelayRate),
-        U64_FIELD("check.faults.storeAddrDelay",
-                  c.check.faults.storeAddrDelay),
-        RATE_FIELD("check.faults.mdptDropRate",
-                   c.check.faults.mdptDropRate),
-        RATE_FIELD("check.faults.mdptCorruptRate",
-                   c.check.faults.mdptCorruptRate),
-        RATE_FIELD("check.faults.hostCrashRate",
-                   c.check.faults.hostCrashRate),
-        RATE_FIELD("check.faults.hostHangRate",
-                   c.check.faults.hostHangRate),
-        RATE_FIELD("check.faults.hostAllocRate",
-                   c.check.faults.hostAllocRate),
-        // Run control.
-        U64_FIELD("maxInsts", c.maxInsts),
-        U64_FIELD("maxCycles", c.maxCycles),
-    };
-    return table;
+    if constexpr (std::is_same_v<Field, double>) {
+        field = parseRate(key, value);
+    } else if constexpr (std::is_same_v<Field, LsqModel>) {
+        field = parseModel(value);
+    } else if constexpr (std::is_same_v<Field, SpecPolicy>) {
+        field = parsePolicy(value);
+    } else if constexpr (std::is_same_v<Field, RecoveryModel>) {
+        field = parseRecovery(value);
+    } else {
+        constexpr uint64_t max = std::numeric_limits<Field>::max();
+        uint64_t v = rule == Parse::Queue
+                         ? parseInRange(key, value, 1, max_queue_size)
+                     : rule == Parse::Divisor
+                         ? parseInRange(key, value, 1, max)
+                     : rule == Parse::HistoryBits
+                         ? parseInRange(key, value, 0, max_history_bits)
+                         : parseU64(key, value, max);
+        field = static_cast<Field>(v);
+    }
 }
 
-#undef U64_FIELD
-#undef RANGE_FIELD
-#undef QUEUE_FIELD
-#undef DIVISOR_FIELD
-#undef RATE_FIELD
-
 } // anonymous namespace
+
+std::string
+serializeConfig(const SimConfig &cfg)
+{
+    std::string out;
+    forEachField(cfg, [&](const char *key, const auto &field, Parse) {
+        out += key;
+        out += '=';
+        out += printField(field);
+        out += '\n';
+    });
+    return out;
+}
 
 void
 applyConfigOption(SimConfig &cfg, const std::string &option)
@@ -247,11 +300,14 @@ applyConfigOption(SimConfig &cfg, const std::string &option)
     fatal_if(key.empty() || value.empty(),
              "config: expected key=value, got '%s'", option.c_str());
 
-    const auto &table = setters();
-    auto it = table.find(key);
-    fatal_if(it == table.end(), "config: unknown key '%s'",
-             key.c_str());
-    it->second(cfg, value);
+    bool known = false;
+    forEachField(cfg, [&](const char *name, auto &&field, Parse rule) {
+        if (rule == Parse::None || key != name)
+            return;
+        parseField(key, value, rule, field);
+        known = true;
+    });
+    fatal_if(!known, "config: unknown key '%s'", key.c_str());
 }
 
 SimConfig
@@ -259,9 +315,7 @@ parseConfigText(const std::string &text, SimConfig base)
 {
     std::istringstream in(text);
     std::string raw;
-    int number = 0;
     while (std::getline(in, raw)) {
-        ++number;
         size_t hash = raw.find('#');
         if (hash != std::string::npos)
             raw = raw.substr(0, hash);
@@ -286,9 +340,12 @@ parseConfigFile(const std::string &path, SimConfig base)
 std::vector<std::string>
 configKeys()
 {
+    const SimConfig defaults;
     std::vector<std::string> keys;
-    for (const auto &[key, setter] : setters())
-        keys.push_back(key);
+    forEachField(defaults, [&](const char *key, const auto &, Parse rule) {
+        if (rule != Parse::None)
+            keys.push_back(key);
+    });
     return keys;
 }
 

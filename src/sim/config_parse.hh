@@ -3,18 +3,20 @@
  * Key=value configuration parsing, so machine configurations can live
  * in files and on command lines instead of in code.
  *
- *     # 256-entry window, SYNC, slower L2
- *     core.windowSize   = 256
- *     core.issueWidth   = 8
- *     mdp.lsqModel      = NAS
- *     mdp.policy        = SYNC
- *     mdp.recovery      = selective
- *     mem.l2AccessLatency = 12
- *     maxInsts          = 500000
+ *     # 256-entry window, SYNC, slower memory
+ *     core.windowSize    = 256
+ *     core.issueWidth    = 8
+ *     mdp.lsqModel       = NAS
+ *     mdp.policy         = SYNC
+ *     mdp.recovery       = selective
+ *     mem.memBaseLatency = 48
+ *     maxInsts           = 500000
  *
  * Unknown keys and malformed values are user errors (fatal()), listing
  * the offending line. applyConfigOption() applies a single
  * "key=value" string (e.g. from argv) on top of an existing config.
+ * The keys are those of serializeConfig() whose field has a parse
+ * rule; a printed key without one is unknown here.
  */
 
 #ifndef CWSIM_SIM_CONFIG_PARSE_HH

@@ -369,8 +369,11 @@ fmtDistHistogram(const std::array<uint64_t, obs::dep_dist_buckets> &d)
     for (size_t b = 0; b < obs::dep_dist_buckets; ++b) {
         if (d[b] == 0)
             continue;
-        out += (out.empty() ? "" : ", ") + obs::depDistBucketLabel(b) +
-               ":" + fmtU64(d[b]);
+        if (!out.empty())
+            out += ", ";
+        out += obs::depDistBucketLabel(b);
+        out += ':';
+        out += fmtU64(d[b]);
     }
     return out.empty() ? "-" : out;
 }
@@ -1132,20 +1135,11 @@ mapByRunKey(const std::vector<ReportRecord> &records,
 }
 
 void
-diffField(DiffResult &d, const std::string &key, const char *field,
+diffField(DiffResult &d, const std::string &key, const std::string &field,
           const std::string &base, const std::string &cur)
 {
     if (base != cur)
         d.drift.push_back({key, field, base, cur});
-}
-
-void
-diffU64(DiffResult &d, const std::string &key, const char *field,
-        uint64_t base, uint64_t cur)
-{
-    diffField(d, key, field,
-              strfmt("%llu", static_cast<unsigned long long>(base)),
-              strfmt("%llu", static_cast<unsigned long long>(cur)));
 }
 
 } // anonymous namespace
@@ -1171,60 +1165,11 @@ diffRunRecords(const std::vector<ReportRecord> &baseline,
             d.drift.push_back({key, "presence", "present", "missing"});
             continue;
         }
-        const harness::RunResult &rb = b->run;
-        const harness::RunResult &rc = it->second->run;
         ++d.compared;
-
-        diffField(d, key, "ok", rb.ok ? "true" : "false",
-                  rc.ok ? "true" : "false");
-        diffField(d, key, "error", rb.error, rc.error);
-        // Compare the failure class but not fail_detail: the detail
-        // text can be host-dependent (signal spelling, limits), while
-        // the kind must not drift.
-        diffField(d, key, "fail_kind", harness::toString(rb.failKind),
-                  harness::toString(rc.failKind));
-        diffU64(d, key, "cycles", rb.cycles, rc.cycles);
-        diffU64(d, key, "commits", rb.commits, rc.commits);
-        diffU64(d, key, "committedLoads", rb.committedLoads,
-                rc.committedLoads);
-        diffU64(d, key, "committedStores", rb.committedStores,
-                rc.committedStores);
-        diffU64(d, key, "violations", rb.violations, rc.violations);
-        diffU64(d, key, "replays", rb.replays, rc.replays);
-        diffU64(d, key, "selectiveRecoveries", rb.selectiveRecoveries,
-                rc.selectiveRecoveries);
-        diffU64(d, key, "selectiveFallbacks", rb.selectiveFallbacks,
-                rc.selectiveFallbacks);
-        diffU64(d, key, "branchMispredicts", rb.branchMispredicts,
-                rc.branchMispredicts);
-        diffU64(d, key, "squashedInsts", rb.squashedInsts,
-                rc.squashedInsts);
-        diffU64(d, key, "falseDepLoads", rb.falseDepLoads,
-                rc.falseDepLoads);
-        // Compare the %.17g round-trip text: exact for identical
-        // doubles, and NaN == NaN (a failed probe must not drift
-        // against an identical failed probe).
-        diffField(d, key, "falseDepLatency",
-                  strfmt("%.17g", rb.falseDepLatency),
-                  strfmt("%.17g", rc.falseDepLatency));
-        diffU64(d, key, "injectedViolations", rb.injectedViolations,
-                rc.injectedViolations);
-
-        // The dep_* fields (schema v5) are deliberately NOT compared:
-        // they are populated only when the host ran with --depprof /
-        // CWSIM_DEPPROF, so a profiled current against an unprofiled
-        // baseline would flag a host-configuration difference as stat
-        // drift. The depprof bit-identity tests compare the profile
-        // surface directly instead.
-
-        diffU64(d, key, "commit_width", rb.commitWidth,
-                rc.commitWidth);
-        for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
-            std::string field =
-                std::string("cpi_") + obs::statKey(obs::CpiCause(i));
-            diffU64(d, key, field.c_str(), rb.cpiSlots[i],
-                    rc.cpiSlots[i]);
-        }
+        const auto fb = simulatedFields(b->run);
+        const auto fc = simulatedFields(it->second->run);
+        for (size_t i = 0; i < fb.size(); ++i)
+            diffField(d, key, fb[i].first, fb[i].second, fc[i].second);
     }
     for (const auto &[key, c] : cur) {
         (void)c;

@@ -109,13 +109,13 @@ struct DiffResult
 
 /**
  * Compare two record sets keyed by (workload, config, scale),
- * field-by-field over every simulated stat (counters, ok/error, the
- * CPI stack). Host-profiling fields are ignored. A key that names
- * several runs in either file (the config name omits e.g. the AS
- * latency and the recovery model) is told apart by fp on both sides;
- * when a record of such a key has no fp, the diff fails with @c error
- * set. Within one file, a later record for
- * the same run supersedes an earlier one (the run-cache "later
+ * field-by-field over every simulated stat (simulatedFields():
+ * counters, ok/error, fail_kind, the CPI stack). Host fields are
+ * ignored. A key that names several runs in either file (the config
+ * name omits e.g. the AS latency and the recovery model) is told
+ * apart by fp on both sides; when a record of such a key has no fp,
+ * the diff fails with @c error set. Within one file, a later record
+ * for the same run supersedes an earlier one (the run-cache "later
  * records win" rule).
  */
 DiffResult diffRunRecords(const std::vector<ReportRecord> &baseline,

@@ -12,6 +12,7 @@
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <variant>
 
 #include "base/jsonl.hh"
 #include "base/logging.hh"
@@ -38,53 +39,6 @@ fnv1a(uint64_t hash, const std::string &data)
     return hash;
 }
 
-bool
-getU64(const std::map<std::string, std::string> &fields,
-       const char *key, uint64_t &out)
-{
-    auto it = fields.find(key);
-    return it != fields.end() && parseUnsigned(it->second, out);
-}
-
-bool
-getF64(const std::map<std::string, std::string> &fields,
-       const char *key, double &out)
-{
-    // JsonObject writes a NaN as the string "nan".
-    auto it = fields.find(key);
-    if (it == fields.end())
-        return false;
-    if (it->second == "nan") {
-        out = std::numeric_limits<double>::quiet_NaN();
-        return true;
-    }
-    return parseDouble(it->second, out);
-}
-
-bool
-getStr(const std::map<std::string, std::string> &fields,
-       const char *key, std::string &out)
-{
-    auto it = fields.find(key);
-    if (it == fields.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-bool
-getBool(const std::map<std::string, std::string> &fields,
-        const char *key, bool &out)
-{
-    auto it = fields.find(key);
-    if (it == fields.end() ||
-        (it->second != "true" && it->second != "false")) {
-        return false;
-    }
-    out = it->second == "true";
-    return true;
-}
-
 } // anonymous namespace
 
 uint64_t
@@ -99,133 +53,289 @@ fingerprintRun(const std::string &workload, uint64_t scale,
     return hash;
 }
 
+namespace
+{
+
+using harness::RunResult;
+
+/** The record's envelope: the fields around a RunResult. */
+enum class Envelope
+{
+    Version,     ///< run_record_version; no other is read.
+    Fingerprint, ///< fingerprintRun(), exactly 16 hex digits.
+    Scale,       ///< The run's dynamic-instruction scale.
+};
+
+/** A rate computed from the result: written, never read back. */
+using Derived = double (RunResult::*)() const;
+
+/** cpi_<statKey> for each obs::CpiCause, in cause order. */
+struct CpiSlots
+{
+};
+
+/** Where a field's value comes from. */
+using Source = std::variant<Envelope, Derived, CpiSlots,
+                            std::string RunResult::*, bool RunResult::*,
+                            uint64_t RunResult::*, double RunResult::*,
+                            unsigned RunResult::*,
+                            harness::FailKind RunResult::*>;
+
+/**
+ * Whether diffRunRecords compares a field. A simulated result must
+ * not drift. Host fields (timings, cache hits, diagnostics, the
+ * dependence-profile summary that only a profiling host fills) may
+ * differ between two runs of one config, and the run key (workload,
+ * config, scale) is what pairs the runs up.
+ */
+enum class Diff
+{
+    Compared,
+    Ignored,
+};
+
+struct RecordField
+{
+    const char *name;
+    Source source;
+    Diff diff;
+};
+
+/**
+ * The run record's one field table, in wire order. runRecordLine()
+ * writes every row, the parsers read every row but the derived rates,
+ * and simulatedFields() takes the compared rows.
+ */
+const RecordField record_fields[] = {
+    {"v", Envelope::Version, Diff::Ignored},
+    {"fp", Envelope::Fingerprint, Diff::Ignored},
+    // workload, config and scale key the run in the diff.
+    {"workload", &RunResult::workload, Diff::Ignored},
+    {"config", &RunResult::config, Diff::Ignored},
+    {"scale", Envelope::Scale, Diff::Ignored},
+    {"ok", &RunResult::ok, Diff::Compared},
+    {"error", &RunResult::error, Diff::Compared},
+    {"cycles", &RunResult::cycles, Diff::Compared},
+    {"commits", &RunResult::commits, Diff::Compared},
+    {"committedLoads", &RunResult::committedLoads, Diff::Compared},
+    {"committedStores", &RunResult::committedStores, Diff::Compared},
+    {"violations", &RunResult::violations, Diff::Compared},
+    {"replays", &RunResult::replays, Diff::Compared},
+    {"selectiveRecoveries", &RunResult::selectiveRecoveries,
+     Diff::Compared},
+    {"selectiveFallbacks", &RunResult::selectiveFallbacks,
+     Diff::Compared},
+    {"branchMispredicts", &RunResult::branchMispredicts,
+     Diff::Compared},
+    {"squashedInsts", &RunResult::squashedInsts, Diff::Compared},
+    {"falseDepLoads", &RunResult::falseDepLoads, Diff::Compared},
+    // Compared as %.17g text: exact, and NaN equals NaN.
+    {"falseDepLatency", &RunResult::falseDepLatency, Diff::Compared},
+    {"injectedViolations", &RunResult::injectedViolations,
+     Diff::Compared},
+    {"ipc", &RunResult::ipc, Diff::Ignored},
+    {"wall_ms", &RunResult::wallMs, Diff::Ignored},
+    {"queue_ms", &RunResult::queueMs, Diff::Ignored},
+    {"sim_cycles_per_sec", &RunResult::simCyclesPerSec, Diff::Ignored},
+    {"cache_hit", &RunResult::cacheHit, Diff::Ignored},
+    {"diagnostic", &RunResult::diagnostic, Diff::Ignored},
+    // The failure class must not drift; its detail (signal spelling,
+    // limits) can depend on the host.
+    {"fail_kind", &RunResult::failKind, Diff::Compared},
+    {"fail_detail", &RunResult::failDetail, Diff::Ignored},
+    {"fail_injected", &RunResult::injectedHostFault, Diff::Ignored},
+    {"commit_width", &RunResult::commitWidth, Diff::Compared},
+    {"cpi_", CpiSlots{}, Diff::Compared},
+    {"dep_profiled", &RunResult::depProfiled, Diff::Ignored},
+    {"dep_loads", &RunResult::depLoads, Diff::Ignored},
+    {"dep_stores", &RunResult::depStores, Diff::Ignored},
+    {"dep_edges", &RunResult::depEdges, Diff::Ignored},
+    {"dep_hot_edges", &RunResult::depHotEdges, Diff::Ignored},
+};
+
+template <class... Fns>
+struct Overloaded : Fns...
+{
+    using Fns::operator()...;
+};
+
 std::string
-runRecordLine(const harness::RunResult &r, uint64_t fp, uint64_t scale)
+cpiField(const RecordField &f, size_t cause)
+{
+    return f.name + std::string(obs::statKey(obs::CpiCause(cause)));
+}
+
+std::string
+u64Text(uint64_t v)
+{
+    return strfmt("%llu", static_cast<unsigned long long>(v));
+}
+
+/**
+ * Read every row of @p fields into @p out. The envelope's fingerprint
+ * and scale are read only when @p fp and @p scale are given. False,
+ * with @p out untouched, when any read field is missing or malformed.
+ */
+bool
+readRecord(const std::map<std::string, std::string> &fields,
+           RunResult &out, uint64_t *fp, uint64_t *scale)
+{
+    RunResult r;
+    for (const RecordField &f : record_fields) {
+        bool ok = std::visit(
+            Overloaded{
+                [&](Envelope e) {
+                    uint64_t version = 0;
+                    std::string text;
+                    switch (e) {
+                      case Envelope::Version:
+                        return getU64(fields, f.name, version) &&
+                               version == run_record_version;
+                      case Envelope::Fingerprint:
+                        return !fp ||
+                               (getStr(fields, f.name, text) &&
+                                text.size() == 16 &&
+                                parseUnsigned(text, *fp, 16));
+                      case Envelope::Scale:
+                        return !scale || getU64(fields, f.name, *scale);
+                    }
+                    return false;
+                },
+                [](Derived) { return true; },
+                [&](CpiSlots) {
+                    for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
+                        if (!getU64(fields, cpiField(f, i),
+                                    r.cpiSlots[i])) {
+                            return false;
+                        }
+                    }
+                    return true;
+                },
+                [&](std::string RunResult::*m) {
+                    return getStr(fields, f.name, r.*m);
+                },
+                [&](bool RunResult::*m) {
+                    return getBool(fields, f.name, r.*m);
+                },
+                [&](uint64_t RunResult::*m) {
+                    return getU64(fields, f.name, r.*m);
+                },
+                [&](double RunResult::*m) {
+                    return getF64(fields, f.name, r.*m);
+                },
+                [&](unsigned RunResult::*m) {
+                    uint64_t v = 0;
+                    if (!getU64(fields, f.name, v) ||
+                        v > std::numeric_limits<unsigned>::max()) {
+                        return false;
+                    }
+                    r.*m = static_cast<unsigned>(v);
+                    return true;
+                },
+                [&](harness::FailKind RunResult::*m) {
+                    std::string text;
+                    return getStr(fields, f.name, text) &&
+                           harness::failKindFromString(text, r.*m);
+                },
+            },
+            f.source);
+        if (!ok)
+            return false;
+    }
+    out = r;
+    return true;
+}
+
+} // anonymous namespace
+
+std::string
+runRecordLine(const RunResult &r, uint64_t fp, uint64_t scale)
 {
     JsonObject obj;
-    obj.add("v", static_cast<uint64_t>(run_record_version))
-        .add("fp", strfmt("%016llx",
-                          static_cast<unsigned long long>(fp)))
-        .add("workload", r.workload)
-        .add("config", r.config)
-        .add("scale", scale)
-        .add("ok", r.ok)
-        .add("error", r.error)
-        .add("cycles", r.cycles)
-        .add("commits", r.commits)
-        .add("committedLoads", r.committedLoads)
-        .add("committedStores", r.committedStores)
-        .add("violations", r.violations)
-        .add("replays", r.replays)
-        .add("selectiveRecoveries", r.selectiveRecoveries)
-        .add("selectiveFallbacks", r.selectiveFallbacks)
-        .add("branchMispredicts", r.branchMispredicts)
-        .add("squashedInsts", r.squashedInsts)
-        .add("falseDepLoads", r.falseDepLoads)
-        .add("falseDepLatency", r.falseDepLatency)
-        .add("injectedViolations", r.injectedViolations)
-        .add("ipc", r.ipc())
-        // Host-profiling and diagnostic fields. wall_ms, queue_ms and
-        // sim_cycles_per_sec vary run to run; determinism comparisons
-        // must ignore them.
-        .add("wall_ms", r.wallMs)
-        .add("queue_ms", r.queueMs)
-        .add("sim_cycles_per_sec", r.simCyclesPerSec())
-        .add("cache_hit", r.cacheHit)
-        .add("diagnostic", r.diagnostic);
-    // Failure taxonomy (--isolate classification).
-    obj.add("fail_kind", harness::toString(r.failKind))
-        .add("fail_detail", r.failDetail)
-        .add("fail_injected", r.injectedHostFault);
-    // Commit-slot accounting.
-    obj.add("commit_width", static_cast<uint64_t>(r.commitWidth));
-    for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
-        obj.add(std::string("cpi_") + obs::statKey(obs::CpiCause(i)),
-                r.cpiSlots[i]);
+    for (const RecordField &f : record_fields) {
+        std::visit(
+            Overloaded{
+                [&](Envelope e) {
+                    if (e == Envelope::Version) {
+                        obj.add(f.name,
+                                uint64_t{run_record_version});
+                    } else if (e == Envelope::Fingerprint) {
+                        obj.add(f.name,
+                                strfmt("%016llx",
+                                       static_cast<unsigned long long>(
+                                           fp)));
+                    } else {
+                        obj.add(f.name, scale);
+                    }
+                },
+                [&](Derived m) { obj.add(f.name, (r.*m)()); },
+                [&](CpiSlots) {
+                    for (size_t i = 0; i < obs::num_cpi_causes; ++i)
+                        obj.add(cpiField(f, i), r.cpiSlots[i]);
+                },
+                [&](unsigned RunResult::*m) {
+                    obj.add(f.name, uint64_t{r.*m});
+                },
+                [&](harness::FailKind RunResult::*m) {
+                    obj.add(f.name, harness::toString(r.*m));
+                },
+                [&](auto m) { obj.add(f.name, r.*m); },
+            },
+            f.source);
     }
-    // Dependence-profile summary. Host-adjacent (only filled when
-    // profiling was enabled for the run), so diffRunRecords leaves
-    // these out of the simulated-field comparison.
-    obj.add("dep_profiled", r.depProfiled)
-        .add("dep_loads", r.depLoads)
-        .add("dep_stores", r.depStores)
-        .add("dep_edges", r.depEdges)
-        .add("dep_hot_edges", r.depHotEdges);
     return obj.str();
 }
 
 bool
 runRecordParse(const std::map<std::string, std::string> &fields,
-               harness::RunResult &out)
+               RunResult &out)
 {
-    uint64_t version = 0;
-    if (!getU64(fields, "v", version) || version != run_record_version)
-        return false;
-
-    harness::RunResult r;
-    std::string kind;
-    uint64_t width = 0;
-    bool valid = getBool(fields, "ok", r.ok) &&
-                 getStr(fields, "workload", r.workload) &&
-                 getStr(fields, "config", r.config) &&
-                 getStr(fields, "error", r.error) &&
-                 getU64(fields, "cycles", r.cycles) &&
-                 getU64(fields, "commits", r.commits) &&
-                 getU64(fields, "committedLoads", r.committedLoads) &&
-                 getU64(fields, "committedStores",
-                        r.committedStores) &&
-                 getU64(fields, "violations", r.violations) &&
-                 getU64(fields, "replays", r.replays) &&
-                 getU64(fields, "selectiveRecoveries",
-                        r.selectiveRecoveries) &&
-                 getU64(fields, "selectiveFallbacks",
-                        r.selectiveFallbacks) &&
-                 getU64(fields, "branchMispredicts",
-                        r.branchMispredicts) &&
-                 getU64(fields, "squashedInsts", r.squashedInsts) &&
-                 getU64(fields, "falseDepLoads", r.falseDepLoads) &&
-                 getF64(fields, "falseDepLatency",
-                        r.falseDepLatency) &&
-                 getU64(fields, "injectedViolations",
-                        r.injectedViolations) &&
-                 getF64(fields, "wall_ms", r.wallMs) &&
-                 getF64(fields, "queue_ms", r.queueMs) &&
-                 getBool(fields, "cache_hit", r.cacheHit) &&
-                 getStr(fields, "diagnostic", r.diagnostic) &&
-                 getStr(fields, "fail_kind", kind) &&
-                 harness::failKindFromString(kind, r.failKind) &&
-                 getStr(fields, "fail_detail", r.failDetail) &&
-                 getBool(fields, "fail_injected", r.injectedHostFault) &&
-                 getU64(fields, "commit_width", width) &&
-                 width <= std::numeric_limits<unsigned>::max() &&
-                 getBool(fields, "dep_profiled", r.depProfiled) &&
-                 getU64(fields, "dep_loads", r.depLoads) &&
-                 getU64(fields, "dep_stores", r.depStores) &&
-                 getU64(fields, "dep_edges", r.depEdges) &&
-                 getStr(fields, "dep_hot_edges", r.depHotEdges);
-    if (!valid)
-        return false;
-    r.commitWidth = static_cast<unsigned>(width);
-    for (size_t i = 0; i < obs::num_cpi_causes; ++i) {
-        std::string key =
-            std::string("cpi_") + obs::statKey(obs::CpiCause(i));
-        if (!getU64(fields, key.c_str(), r.cpiSlots[i]))
-            return false;
-    }
-
-    out = r;
-    return true;
+    return readRecord(fields, out, nullptr, nullptr);
 }
 
 bool
 runRecordParseWithEnvelope(
-    const std::map<std::string, std::string> &fields,
-    harness::RunResult &run, uint64_t &fp, uint64_t &scale)
+    const std::map<std::string, std::string> &fields, RunResult &run,
+    uint64_t &fp, uint64_t &scale)
 {
-    auto fpText = fields.find("fp");
-    return fpText != fields.end() && fpText->second.size() == 16 &&
-           parseUnsigned(fpText->second, fp, 16) &&
-           getU64(fields, "scale", scale) && runRecordParse(fields, run);
+    return readRecord(fields, run, &fp, &scale);
+}
+
+std::vector<std::pair<std::string, std::string>>
+simulatedFields(const RunResult &r)
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const RecordField &f : record_fields) {
+        if (f.diff != Diff::Compared)
+            continue;
+        auto add = [&](std::string text) {
+            out.emplace_back(f.name, std::move(text));
+        };
+        std::visit(
+            Overloaded{
+                [](Envelope) {},
+                [](Derived) {},
+                [&](CpiSlots) {
+                    for (size_t i = 0; i < obs::num_cpi_causes; ++i)
+                        out.emplace_back(cpiField(f, i),
+                                         u64Text(r.cpiSlots[i]));
+                },
+                [&](std::string RunResult::*m) { add(r.*m); },
+                [&](bool RunResult::*m) {
+                    add(r.*m ? "true" : "false");
+                },
+                [&](uint64_t RunResult::*m) { add(u64Text(r.*m)); },
+                [&](double RunResult::*m) {
+                    add(strfmt("%.17g", r.*m));
+                },
+                [&](unsigned RunResult::*m) { add(u64Text(r.*m)); },
+                [&](harness::FailKind RunResult::*m) {
+                    add(harness::toString(r.*m));
+                },
+            },
+            f.source);
+    }
+    return out;
 }
 
 namespace

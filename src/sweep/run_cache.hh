@@ -22,6 +22,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/harness.hh"
@@ -43,7 +44,11 @@ constexpr unsigned run_record_version = 5;
 uint64_t fingerprintRun(const std::string &workload, uint64_t scale,
                         const SimConfig &cfg);
 
-/** One JSONL record for @p r (also the exported-results format). */
+/**
+ * One JSONL record for @p r (also the exported-results format). The
+ * record's fields are declared once, in run_cache.cc's field table,
+ * which runRecordLine, the parsers below and simulatedFields walk.
+ */
 std::string runRecordLine(const harness::RunResult &r, uint64_t fp,
                           uint64_t scale);
 
@@ -66,6 +71,15 @@ bool runRecordParse(const std::map<std::string, std::string> &fields,
 bool runRecordParseWithEnvelope(
     const std::map<std::string, std::string> &fields,
     harness::RunResult &run, uint64_t &fp, uint64_t &scale);
+
+/**
+ * The simulated fields of @p r as (wire name, value text) pairs in
+ * record order: what diffRunRecords compares. Host fields — timings,
+ * cache hits, diagnostics, fail_detail and the dep_* summary — are
+ * left out, and so is the run key.
+ */
+std::vector<std::pair<std::string, std::string>>
+simulatedFields(const harness::RunResult &r);
 
 /**
  * Crash-safe against dirty shutdowns and concurrent writers: appends

@@ -110,11 +110,11 @@ TEST(RunnerTest, RunsAreDeterministic)
 
 TEST(RunnerTest, ArenaReuseAcrossRunsIsBitIdentical)
 {
-    // Three consecutive runs in one process: the second and third
-    // bump through the per-run arena's recycled chunks (the harness
-    // resets it after each run), and recycled memory must not leak
-    // any state into the stats. Use a policy that exercises the
-    // store buffer's synonym lists and replay machinery.
+    // Three consecutive runs in one process must agree: nothing a run
+    // leaves behind (heap the next run's caches and window reuse,
+    // per-thread state) may leak into the next run's stats. Use a
+    // policy that exercises the store buffer's synonym lists and
+    // replay machinery.
     Runner runner(10'000);
     SimConfig cfg =
         withPolicy(makeW128Config(), LsqModel::NAS, SpecPolicy::SpecSync);

@@ -214,8 +214,9 @@ TEST(OracleTest, NoProducerForColdLoads)
     opts.recordTrace = true;
     PrepassResult pre = runPrepass(b.build(), opts);
     for (size_t i = 0; i < pre.trace.size(); ++i) {
-        if (pre.trace[i].inst.isLoad())
+        if (pre.trace[i].inst.isLoad()) {
             EXPECT_EQ(pre.deps.producerOf(i), invalid_trace_index);
+        }
     }
 }
 
@@ -236,8 +237,9 @@ TEST(OracleTest, PartialOverlapDetected)
     for (size_t i = 0; i < pre.trace.size(); ++i) {
         if (pre.trace[i].inst.isStore())
             store_idx = i;
-        if (pre.trace[i].inst.isLoad())
+        if (pre.trace[i].inst.isLoad()) {
             EXPECT_EQ(pre.deps.producerOf(i), store_idx);
+        }
     }
 }
 

@@ -478,12 +478,12 @@ TEST(ConfigParseTest, ParsesTextWithCommentsAndBlanks)
         # a comment
         core.issueWidth = 4
 
-        mem.l2AccessLatency = 12   # trailing comment
+        mem.memBaseLatency = 48   # trailing comment
         mdp.policy = ORACLE
         mem.dcache.sizeBytes = 0x10000
     )");
     EXPECT_EQ(cfg.core.issueWidth, 4u);
-    EXPECT_EQ(cfg.mem.l2AccessLatency, 12u);
+    EXPECT_EQ(cfg.mem.memBaseLatency, 48u);
     EXPECT_EQ(cfg.mdp.policy, SpecPolicy::Oracle);
     EXPECT_EQ(cfg.mem.dcache.sizeBytes, 0x10000u);
 }

@@ -284,8 +284,9 @@ TEST(SplitWindowTest, AsLatencyDegradesPerformance)
         cfg.asLatency = lat;
         SplitWindowSim sim(cfg, trace);
         sim.run();
-        if (lat > 0)
+        if (lat > 0) {
             EXPECT_GE(sim.cycles(), prev);
+        }
         prev = sim.cycles();
     }
 }

@@ -872,7 +872,7 @@ TEST(SweepFingerprint, SensitiveToEveryInput)
     differ.check.faults.hostCrashRate = 0.5;
     EXPECT_NE(fp, sweep::fingerprintRun("129.compress", 4000, differ));
     differ = base;
-    differ.mem.l2AccessLatency += 1;
+    differ.mem.memBaseLatency += 1;
     EXPECT_NE(fp, sweep::fingerprintRun("129.compress", 4000, differ));
 }
 
