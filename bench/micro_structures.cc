@@ -104,6 +104,48 @@ BM_EventQueueScheduleFire(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleFire);
 
+/**
+ * One pending event of the hold model: when it fires it reschedules
+ * itself 1..16 ticks out. 32 bytes, the size of the core's completion
+ * captures.
+ */
+struct HoldEvent
+{
+    EventQueue *eq;
+    Random *rng;
+    uint64_t *fired;
+    uint64_t id;
+
+    void
+    operator()() const
+    {
+        ++*fired;
+        eq->scheduleIn(1 + rng->below(16), *this);
+    }
+};
+static_assert(sizeof(HoldEvent) == 32);
+
+void
+BM_EventQueueHold(benchmark::State &state)
+{
+    // The hold model: a fixed population of pending events, the shape
+    // of the core's queue (completions and cache fills in flight). One
+    // iteration is one tick; items are fired events.
+    EventQueue eq;
+    Random rng(6);
+    uint64_t fired = 0;
+    for (int64_t i = 0; i < state.range(0); ++i) {
+        eq.scheduleIn(1 + rng.below(16),
+                      HoldEvent{&eq, &rng, &fired,
+                                static_cast<uint64_t>(i)});
+    }
+    for (auto _ : state)
+        eq.runUntil(eq.curTick() + 1);
+    benchmark::DoNotOptimize(fired);
+    state.SetItemsProcessed(static_cast<int64_t>(fired));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(64)->Arg(256);
+
 void
 BM_FunctionalMemoryReadWrite(benchmark::State &state)
 {

@@ -10,6 +10,7 @@
 #define CWSIM_BASE_CIRCULAR_QUEUE_HH
 
 #include <cstddef>
+#include <new>
 #include <vector>
 
 #include "base/logging.hh"
@@ -41,6 +42,21 @@ class CircularQueue
         slots[slot] = std::move(value);
         ++count;
         return slot;
+    }
+
+    /**
+     * Append a value-initialized element, built in its slot rather
+     * than moved in from a temporary; returns it.
+     */
+    T &
+    emplaceBack()
+    {
+        panic_if(full(), "emplaceBack on full CircularQueue");
+        T &elem = slots[physIndex(count)];
+        elem.~T();
+        new (&elem) T();
+        ++count;
+        return elem;
     }
 
     /** Remove the head element. */

@@ -3,9 +3,10 @@
  * A fixed-capacity, never-allocating stand-in for std::function<void()>.
  *
  * Simulator events fire millions of times per run, and the common
- * completion captures (an object pointer plus a sequence number and an
- * epoch) just exceed libstdc++'s 16-byte small-object buffer, so
- * std::function pays a malloc/free round trip per scheduled event.
+ * completion captures (an object pointer, a window slot and sequence
+ * number, and an epoch) exceed libstdc++'s 16-byte small-object
+ * buffer, so std::function pays a malloc/free round trip per scheduled
+ * event.
  * InplaceFunction stores the callable inline and rejects oversized
  * callables at compile time instead of spilling to the heap.
  */

@@ -22,14 +22,16 @@ class SatCounter
      * @param initial Initial (and post-reset) count.
      */
     explicit SatCounter(unsigned num_bits = 2, unsigned initial = 0)
-        : maxCount((1u << num_bits) - 1), initialCount(initial),
-          count(initial)
     {
         panic_if(num_bits == 0 || num_bits > 16,
                  "SatCounter width %u out of range", num_bits);
-        panic_if(initial > maxCount,
+        unsigned max_count = (1u << num_bits) - 1;
+        panic_if(initial > max_count,
                  "SatCounter initial value %u exceeds max %u", initial,
-                 maxCount);
+                 max_count);
+        maxCount = static_cast<uint16_t>(max_count);
+        initialCount = static_cast<uint16_t>(initial);
+        count = initialCount;
     }
 
     /** Increment, saturating at the maximum. */
@@ -62,10 +64,13 @@ class SatCounter
     }
 
   private:
-    unsigned maxCount;
-    unsigned initialCount;
-    unsigned count;
+    // 16 bits each: the branch predictor holds three 64K-entry tables.
+    uint16_t maxCount;
+    uint16_t initialCount;
+    uint16_t count;
 };
+
+static_assert(sizeof(SatCounter) == 6, "SatCounter is three uint16_t");
 
 } // namespace cwsim
 

@@ -423,16 +423,18 @@ Processor::releaseStores()
             continue;
         if (memPortsLeft == 0)
             break;
+        size_t slot = sb.slotOf(entry);
         InstSeqNum seq = entry.seq;
         bool accepted = memSys.dataAccess(
-            entry.addr, entry.size, true, [this, seq]() {
-                if (SbEntry *e = sb.findSeq(seq)) {
-                    e->releasing = false;
-                    e->released = true;
-                    // Released before its address became visible: a
-                    // load held by that address may go.
-                    wakeStoreWaiters(*e);
-                }
+            entry.addr, entry.size, true, [this, slot, seq]() {
+                if (!sb.holds(slot, seq))
+                    return;
+                SbEntry &e = sb.slot(slot);
+                e.releasing = false;
+                e.released = true;
+                // Released before its address became visible: a load
+                // held by that address may go.
+                wakeStoreWaiters(e);
             });
         if (!accepted)
             break; // bank conflict; retry next cycle
@@ -451,7 +453,7 @@ void
 Processor::registerConsumer(const DynInst &producer,
                             const DynInst &consumer)
 {
-    std::vector<ConsumerRef> &list = consumers[rob.slotOf(producer)];
+    std::vector<InstRef> &list = consumers[rob.slotOf(producer)];
     size_t cslot = rob.slotOf(consumer);
     // src1 and src2 of one instruction register back to back; one ref
     // per consumer is enough (broadcast checks both operands).
@@ -459,7 +461,7 @@ Processor::registerConsumer(const DynInst &producer,
         list.back().seq == consumer.seq) {
         return;
     }
-    list.push_back(ConsumerRef{cslot, consumer.seq});
+    list.push_back(InstRef{cslot, consumer.seq});
 }
 
 void
@@ -480,20 +482,20 @@ Processor::captureOperand(DynInst &inst, DynInst::Operand &op,
     }
     op.producer = rm.producer;
     op.hasProducer = true;
-    DynInst *producer = findInst(rm.producer);
-    if (!producer) {
+    if (!slotHolds(rm.producerSlot, rm.producer)) {
         // Producer committed between renaming and now (can happen after
         // squash-undo restored an already-retired producer).
         op.ready = true;
         op.value = archRegs.readReg(reg);
         return;
     }
+    const DynInst &producer = rob.slot(rm.producerSlot);
     // Even a done producer registers the consumer: a selective replay
     // can un-complete it later and must be able to recall the value.
-    registerConsumer(*producer, inst);
-    if (producer->done) {
+    registerConsumer(producer, inst);
+    if (producer.done) {
         op.ready = true;
-        op.value = producer->result;
+        op.value = producer.result;
     } else {
         op.ready = false;
     }
@@ -507,8 +509,10 @@ Processor::renameDest(DynInst &inst)
     RegMapEntry &rm = regMap[inst.si.rd];
     inst.renamedDest = true;
     inst.prevDestBusy = rm.busy;
+    inst.prevDestSlot = rm.producerSlot;
     inst.prevDestProducer = rm.producer;
     rm.busy = true;
+    rm.producerSlot = static_cast<uint32_t>(rob.slotOf(inst));
     rm.producer = inst.seq;
 }
 
@@ -527,9 +531,9 @@ Processor::doDispatch()
         if (fi.si.isStore() && sb.full())
             break;
 
-        size_t rob_slot = rob.pushBack(DynInst{});
+        DynInst &inst = rob.emplaceBack();
+        size_t rob_slot = rob.slotOf(inst);
         consumers[rob_slot].clear();
-        DynInst &inst = rob.back();
         inst.seq = fi.seq;
         inst.traceIdx = fi.traceIdx;
         inst.pc = fi.pc;
@@ -541,7 +545,7 @@ Processor::doDispatch()
         inst.predTargetKnown = fi.predTargetKnown;
         inst.hasCheckpoint = fi.hasCheckpoint;
         inst.checkpoint = fi.checkpoint;
-        inst.memSize = fi.si.memSize();
+        inst.memSize = static_cast<uint8_t>(fi.si.memSize());
 
         captureOperand(inst, inst.src1, fi.si.rs1);
         captureOperand(inst, inst.src2, fi.si.rs2);
@@ -627,13 +631,8 @@ Processor::doDispatch()
                     }
                 }
             }
-            if (oracle) {
-                const auto *set = oracle->producersOf(inst.traceIdx);
-                if (set) {
-                    inst.oracleProducers = set->stores;
-                    inst.oracleProducerCount = set->count;
-                }
-            }
+            if (oracle)
+                inst.oracleProducers = oracle->producersOf(inst.traceIdx);
         }
 
         if (inst.si.isMem())
@@ -766,26 +765,6 @@ Processor::resumeFetch(Addr target)
 // Completion, resolution, squash.
 // ---------------------------------------------------------------------
 
-DynInst *
-Processor::findInst(InstSeqNum seq)
-{
-    // Window entries are sorted by sequence number, but squashes leave
-    // gaps, so binary-search by position.
-    size_t lo = 0;
-    size_t hi = rob.size();
-    while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        DynInst &inst = rob.at(mid);
-        if (inst.seq == seq)
-            return &inst;
-        if (inst.seq < seq)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return nullptr;
-}
-
 bool
 Processor::loadHasStaleByteFrom(const DynInst &load,
                                 const SbEntry &entry) const
@@ -816,10 +795,10 @@ Processor::broadcastResult(const DynInst &producer)
     // Walk the producer's consumer list instead of the whole window.
     // Refs to squashed consumers (dead slot, or a reused slot holding
     // a different seq) are compacted away as they are found.
-    std::vector<ConsumerRef> &list = consumers[rob.slotOf(producer)];
+    std::vector<InstRef> &list = consumers[rob.slotOf(producer)];
     size_t keep = 0;
     for (size_t i = 0; i < list.size(); ++i) {
-        const ConsumerRef ref = list[i];
+        const InstRef ref = list[i];
         if (!slotHolds(ref.slot, ref.seq))
             continue;
         list[keep++] = ref;
@@ -848,10 +827,10 @@ Processor::broadcastResult(const DynInst &producer)
 void
 Processor::unbroadcast(const DynInst &producer)
 {
-    std::vector<ConsumerRef> &list = consumers[rob.slotOf(producer)];
+    std::vector<InstRef> &list = consumers[rob.slotOf(producer)];
     size_t keep = 0;
     for (size_t i = 0; i < list.size(); ++i) {
-        const ConsumerRef ref = list[i];
+        const InstRef ref = list[i];
         if (!slotHolds(ref.slot, ref.seq))
             continue;
         list[keep++] = ref;
@@ -890,9 +869,8 @@ Processor::consumerCapturedResult(const DynInst &inst) const
 bool
 Processor::anyConsumerIssued(const DynInst &producer) const
 {
-    const std::vector<ConsumerRef> &list =
-        consumers[rob.slotOf(producer)];
-    for (const ConsumerRef &ref : list) {
+    const std::vector<InstRef> &list = consumers[rob.slotOf(producer)];
+    for (const InstRef &ref : list) {
         if (!slotHolds(ref.slot, ref.seq))
             continue;
         const DynInst &inst = rob.slot(ref.slot);
@@ -1007,6 +985,7 @@ Processor::squashYoungerThan(InstSeqNum keep_seq, Addr restart_pc,
         if (inst.renamedDest) {
             RegMapEntry &rm = regMap[inst.si.rd];
             rm.busy = inst.prevDestBusy;
+            rm.producerSlot = inst.prevDestSlot;
             rm.producer = inst.prevDestProducer;
         }
         if (inst.si.isMem())

@@ -196,8 +196,14 @@ class Processor
     std::string machineStateDump() const;
 
   private:
-    /** A window instruction by slot and seq, validated at use. */
-    struct ConsumerRef
+    /**
+     * A window instruction by slot and seq: the window's one reference
+     * kind, held by consumer lists, store waiters, parked loads, the
+     * rename map, completion events and the replay slice. slotHolds()
+     * validates it in O(1) at use; a squashed or retired instruction's
+     * ref fails there.
+     */
+    struct InstRef
     {
         size_t slot = 0;
         InstSeqNum seq = 0;
@@ -294,7 +300,7 @@ class Processor
      * [addr, addr+size), oldest first.
      */
     void youngerLoadsReading(size_t from, Addr addr, unsigned size,
-                             std::vector<ConsumerRef> &out) const;
+                             std::vector<InstRef> &out) const;
 
     /**
      * Selective invalidation: re-execute the violated load and,
@@ -342,7 +348,6 @@ class Processor
     void executeHostFault(check::HostFault fault);
 
     // ---- shared helpers ----------------------------------------------
-    DynInst *findInst(InstSeqNum seq);
     /** Is ROB slot @p slot still occupied by instruction @p seq? */
     bool
     slotHolds(size_t slot, InstSeqNum seq) const
@@ -416,9 +421,16 @@ class Processor
 
     ArchState archRegs; ///< Committed register state + next commit PC.
 
+    /**
+     * The youngest in-flight writer of a register, as an InstRef split
+     * into producerSlot and producer. It may have retired since (the
+     * ref then fails slotHolds): squash-undo can restore a mapping to
+     * an instruction that committed meanwhile.
+     */
     struct RegMapEntry
     {
         bool busy = false;
+        uint32_t producerSlot = 0;
         InstSeqNum producer = 0;
     };
     std::array<RegMapEntry, num_arch_regs> regMap;
@@ -457,7 +469,7 @@ class Processor
      * execution or release. Refs are validated at wake time, like
      * consumer refs; a list is cleared when its slot is reallocated.
      */
-    std::vector<std::vector<ConsumerRef>> storeWaiters;
+    std::vector<std::vector<InstRef>> storeWaiters;
 
     /**
      * The memory-issued loads in the window: set when a load accesses
@@ -475,10 +487,10 @@ class Processor
      * dropped lazily (slot liveness + seq check); a producer's list is
      * cleared when its slot is reallocated at dispatch.
      */
-    std::vector<std::vector<ConsumerRef>> consumers;
+    std::vector<std::vector<InstRef>> consumers;
 
     /** Scratch for violation-check candidate collection. */
-    std::vector<ConsumerRef> checkScratch;
+    std::vector<InstRef> checkScratch;
 
     // ---- fetch state ------------------------------------------------------
     struct FetchedInst

@@ -6,6 +6,7 @@
  * points that storm the miss-speculation recovery machinery.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -170,23 +171,48 @@ Processor::heavyInvariants()
     }
 
     // Rename map: a busy architectural register's producer, when still
-    // in flight, must actually write that register. (The producer may
-    // legitimately have committed already — squash-undo can restore a
-    // mapping to a retired instruction; operand capture falls back to
-    // the architectural file in that case.)
+    // in flight, must actually write that register and sit in the
+    // entry's producerSlot — which makes operand capture's O(1)
+    // slotHolds test equal to a search of the window. (The producer
+    // may legitimately have committed already — squash-undo can
+    // restore a mapping to a retired instruction; operand capture
+    // falls back to the architectural file in that case.) The named
+    // producers, sorted, merge against the window's seq order.
+    std::vector<std::pair<InstSeqNum, unsigned>> named;
     for (unsigned r = 0; r < num_arch_regs; ++r) {
-        const RegMapEntry &rm = regMap[r];
-        if (!rm.busy)
-            continue;
-        const DynInst *producer = findInst(rm.producer);
-        if (producer &&
-            (!producer->si.writesReg() || producer->si.rd != r)) {
-            checkFail(SimErrorKind::Invariant,
-                      strfmt("rename map for r%u names seq %llu which "
-                             "does not write it",
-                             r,
-                             static_cast<unsigned long long>(
-                                 rm.producer)));
+        if (regMap[r].busy)
+            named.emplace_back(regMap[r].producer, r);
+    }
+    std::sort(named.begin(), named.end());
+    size_t next_named = 0;
+    for (size_t i = 0; i < rob.size() && next_named < named.size(); ++i) {
+        const DynInst &inst = rob.at(i);
+        while (next_named < named.size() &&
+               named[next_named].first < inst.seq) {
+            ++next_named; // retired producer
+        }
+        for (; next_named < named.size() &&
+               named[next_named].first == inst.seq;
+             ++next_named) {
+            unsigned r = named[next_named].second;
+            if (!inst.si.writesReg() || inst.si.rd != r) {
+                checkFail(SimErrorKind::Invariant,
+                          strfmt("rename map for r%u names seq %llu "
+                                 "which does not write it",
+                                 r,
+                                 static_cast<unsigned long long>(
+                                     inst.seq)));
+            }
+            if (regMap[r].producerSlot != rob.slotOf(inst)) {
+                checkFail(SimErrorKind::Invariant,
+                          strfmt("rename map for r%u names seq %llu in "
+                                 "slot %u, but it sits in slot %zu",
+                                 r,
+                                 static_cast<unsigned long long>(
+                                     inst.seq),
+                                 regMap[r].producerSlot,
+                                 rob.slotOf(inst)));
+            }
         }
     }
 
@@ -283,13 +309,17 @@ Processor::heavyInvariants()
         for (const DynInst::Operand *op : {&c.src1, &c.src2}) {
             if (!op->hasProducer)
                 continue;
-            const DynInst *p = findInst(op->producer);
-            if (!p)
+            // The producer is older: scan back from the consumer.
+            size_t j = i;
+            while (j > 0 && rob.at(j - 1).seq > op->producer)
+                --j;
+            if (j == 0 || rob.at(j - 1).seq != op->producer)
                 continue; // producer retired; list entry not required
+            const DynInst *p = &rob.at(j - 1);
             size_t pslot = rob.slotOf(*p);
             size_t cslot = rob.slotOf(c);
             bool found = false;
-            for (const ConsumerRef &ref : consumers[pslot]) {
+            for (const InstRef &ref : consumers[pslot]) {
                 if (ref.slot == cslot && ref.seq == c.seq) {
                     found = true;
                     break;
@@ -308,7 +338,7 @@ Processor::heavyInvariants()
     for (size_t slot = 0; slot < consumers.size(); ++slot) {
         // Dead producers keep stale lists until slot reuse; their refs
         // must simply fail validation against the live window.
-        for (const ConsumerRef &ref : consumers[slot]) {
+        for (const InstRef &ref : consumers[slot]) {
             if (!rob.slotLive(ref.slot))
                 continue;
             const DynInst &c = rob.slot(ref.slot);

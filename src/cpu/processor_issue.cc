@@ -131,12 +131,14 @@ Processor::tryIssue(DynInst &inst, unsigned &slots)
         inst.result = exec::compute(inst.si, inst.src1.value,
                                     inst.src2.value, inst.pc);
     }
-    InstSeqNum seq = inst.seq;
+    InstRef ref{slot, inst.seq};
     uint32_t epoch = inst.epoch;
-    eq.scheduleIn(inst.si.latency(), [this, seq, epoch]() {
-        DynInst *p = findInst(seq);
-        if (p && p->epoch == epoch && p->issued && !p->done)
-            completeInst(*p);
+    eq.scheduleIn(inst.si.latency(), [this, ref, epoch]() {
+        if (!slotHolds(ref.slot, ref.seq))
+            return;
+        DynInst &p = rob.slot(ref.slot);
+        if (p.epoch == epoch && p.issued && !p.done)
+            completeInst(p);
     });
 }
 
@@ -171,7 +173,7 @@ void
 Processor::park(DynInst &inst, const GateVerdict &gate)
 {
     size_t slot = rob.slotOf(inst);
-    ConsumerRef ref{slot, inst.seq};
+    InstRef ref{slot, inst.seq};
     if (gate.until != 0) {
         eq.schedule(gate.until,
                     [this, ref]() { wakeParked(ref.slot, ref.seq); });
@@ -197,8 +199,8 @@ Processor::wakeParked(size_t slot, InstSeqNum seq)
 void
 Processor::wakeStoreWaiters(const SbEntry &entry)
 {
-    std::vector<ConsumerRef> &list = storeWaiters[sb.slotOf(entry)];
-    for (const ConsumerRef &ref : list)
+    std::vector<InstRef> &list = storeWaiters[sb.slotOf(entry)];
+    for (const InstRef &ref : list)
         wakeParked(ref.slot, ref.seq);
     list.clear();
 }
@@ -296,8 +298,11 @@ Processor::oracleProducerPending(const DynInst &load) const
     // partial overlaps a load reads bytes from several stores, and
     // issuing after only one of them would forward stale bytes from
     // the ranges the others cover.
-    for (unsigned i = 0; i < load.oracleProducerCount; ++i) {
-        TraceIndex producer = load.oracleProducers[i];
+    const OracleDeps::ProducerSet *set = load.oracleProducers;
+    if (!set)
+        return nullptr;
+    for (unsigned i = 0; i < set->count; ++i) {
+        TraceIndex producer = set->stores[i];
         if (producer >= load.traceIdx) {
             // Wrong-path garbage mapping; never deadlock on it.
             continue;
@@ -359,14 +364,16 @@ Processor::executeLoad(DynInst &inst)
 
     Cycles as_extra =
         lsqModel == LsqModel::AS ? cfg.mdp.asLatency : 0;
-    InstSeqNum seq = inst.seq;
+    InstRef ref{rob.slotOf(inst), inst.seq};
     uint32_t epoch = inst.epoch + 1;
 
-    auto finish = [this, seq, epoch]() {
-        DynInst *p = findInst(seq);
-        if (p && p->epoch == epoch && p->memIssued && !p->done) {
-            p->memDone = true;
-            completeInst(*p);
+    auto finish = [this, ref, epoch]() {
+        if (!slotHolds(ref.slot, ref.seq))
+            return;
+        DynInst &p = rob.slot(ref.slot);
+        if (p.epoch == epoch && p.memIssued && !p.done) {
+            p.memDone = true;
+            completeInst(p);
         }
     };
 
@@ -556,7 +563,7 @@ Processor::trainPredictors(const DynInst &load, const SbEntry &store)
 
 void
 Processor::youngerLoadsReading(size_t from, Addr addr, unsigned size,
-                                std::vector<ConsumerRef> &out) const
+                                std::vector<InstRef> &out) const
 {
     out.clear();
     size_t head = rob.slotOf(rob.front());
@@ -564,7 +571,7 @@ Processor::youngerLoadsReading(size_t from, Addr addr, unsigned size,
          s != SlotBitmap::npos; s = issuedLoads.nextInAge(s, head)) {
         const DynInst &load = rob.slot(s);
         if (rangesOverlap(load.effAddr, load.memSize, addr, size))
-            out.push_back(ConsumerRef{s, load.seq});
+            out.push_back(InstRef{s, load.seq});
     }
 }
 
@@ -587,7 +594,7 @@ Processor::checkViolations(const DynInst &store)
     const SbEntry &entry = sb.slot(store.sbSlot);
     youngerLoadsReading(rob.slotOf(store), entry.addr, entry.size,
                         checkScratch);
-    for (const ConsumerRef &ref : checkScratch) {
+    for (const InstRef &ref : checkScratch) {
         if (!slotHolds(ref.slot, ref.seq))
             continue;
         DynInst &load = rob.slot(ref.slot);
@@ -702,56 +709,57 @@ Processor::replayDependenceSlice(DynInst &victim)
     if (victim.epoch > 60)
         return false;
 
-    std::vector<InstSeqNum> work{victim.seq};
-    std::set<InstSeqNum> slice;
+    std::vector<InstRef> work{InstRef{rob.slotOf(victim), victim.seq}};
+    std::vector<InstRef> slice;
+    // Membership by slot: nothing leaves the window while the slice
+    // is collected, so a live slot names one instruction throughout.
+    std::vector<bool> in_slice(rob.capacity());
     // Not checkScratch: checkViolations is iterating that while it
     // calls here.
-    std::vector<ConsumerRef> readers;
+    std::vector<InstRef> readers;
 
     while (!work.empty()) {
-        InstSeqNum seq = work.back();
+        InstRef ref = work.back();
         work.pop_back();
-        if (slice.count(seq))
+        if (in_slice[ref.slot] || !slotHolds(ref.slot, ref.seq))
             continue;
-        DynInst *inst = findInst(seq);
-        if (!inst)
-            continue;
+        const DynInst &inst = rob.slot(ref.slot);
 
         // A resolved control instruction that consumed bad data may
         // have steered fetch the wrong way; only a squash can repair
         // that.
-        if (inst->si.isControl() && inst->issued)
+        if (inst.si.isControl() && inst.issued)
             return false;
 
-        slice.insert(seq);
+        in_slice[ref.slot] = true;
+        slice.push_back(ref);
 
         // Register consumers of this instruction's (stale) result,
         // straight off its consumer list. Unissued consumers recapture
         // from the re-broadcast; the ones that already acted on the
         // stale value (issued, or posted it into the store buffer)
         // must replay.
-        for (const ConsumerRef &ref : consumers[rob.slotOf(*inst)]) {
-            if (!slotHolds(ref.slot, ref.seq))
+        for (const InstRef &cref : consumers[ref.slot]) {
+            if (!slotHolds(cref.slot, cref.seq))
                 continue;
-            DynInst &c = rob.slot(ref.slot);
+            const DynInst &c = rob.slot(cref.slot);
             bool consumes =
-                (c.src1.hasProducer && c.src1.producer == seq) ||
-                (c.src2.hasProducer && c.src2.producer == seq);
+                (c.src1.hasProducer && c.src1.producer == ref.seq) ||
+                (c.src2.hasProducer && c.src2.producer == ref.seq);
             if (consumes && consumerCapturedResult(c))
-                work.push_back(c.seq);
+                work.push_back(cref);
         }
 
         // Loads that forwarded any byte from this (stale) store: the
         // younger issued loads reading the store's range, narrowed by
         // the per-byte source test, which catches partial forwards.
-        if (inst->isStore() && inst->sbSlot >= 0) {
-            const SbEntry &se = sb.slot(inst->sbSlot);
+        if (inst.isStore() && inst.sbSlot >= 0) {
+            const SbEntry &se = sb.slot(inst.sbSlot);
             if (se.addrValid && se.dataValid) {
-                youngerLoadsReading(rob.slotOf(*inst), se.addr, se.size,
-                                    readers);
-                for (const ConsumerRef &ref : readers) {
-                    if (loadForwardedFrom(rob.slot(ref.slot), seq))
-                        work.push_back(ref.seq);
+                youngerLoadsReading(ref.slot, se.addr, se.size, readers);
+                for (const InstRef &rref : readers) {
+                    if (loadForwardedFrom(rob.slot(rref.slot), ref.seq))
+                        work.push_back(rref);
                 }
             }
         }
@@ -761,14 +769,19 @@ Processor::replayDependenceSlice(DynInst &victim)
     if (slice.size() > rob.size() / 2)
         return false;
 
-    for (InstSeqNum seq : slice) {
-        DynInst *inst = findInst(seq);
-        panic_if(!inst, "slice member vanished");
+    // Replay in program order.
+    std::sort(slice.begin(), slice.end(),
+              [](const InstRef &a, const InstRef &b) {
+                  return a.seq < b.seq;
+              });
+    for (const InstRef &ref : slice) {
+        panic_if(!slotHolds(ref.slot, ref.seq), "slice member vanished");
+        DynInst &inst = rob.slot(ref.slot);
         // Un-ready everyone who captured the stale value (issued
         // capturers are themselves in the slice and will recapture
         // from the re-broadcast).
-        unbroadcast(*inst);
-        resetForReplay(*inst);
+        unbroadcast(inst);
+        resetForReplay(inst);
     }
 
     ++pstats.selectiveRecoveries;

@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "base/addr_range.hh"
@@ -174,12 +173,6 @@ class StoreBuffer
         return findBy(&SbEntry::seq, seq);
     }
 
-    SbEntry *
-    findSeq(InstSeqNum seq)
-    {
-        return const_cast<SbEntry *>(std::as_const(*this).findSeq(seq));
-    }
-
     /** Lookup by trace index (nullptr if not resident). */
     const SbEntry *
     findTraceIdx(TraceIndex idx) const
@@ -189,6 +182,13 @@ class StoreBuffer
 
     /** The stable slot of resident entry @p entry. */
     size_t slotOf(const SbEntry &entry) const { return q.slotOf(entry); }
+
+    /** Is slot @p idx still the resident entry of store @p seq? */
+    bool
+    holds(size_t idx, InstSeqNum seq) const
+    {
+        return q.slotLive(idx) && q.slot(idx).seq == seq;
+    }
 
     /**
      * Ambiguity: does a store older than @p seq, not yet released,
@@ -278,7 +278,7 @@ class StoreBuffer
     bool
     refValid(const SlotRef &ref) const
     {
-        return q.slotLive(ref.slot) && q.slot(ref.slot).seq == ref.seq;
+        return holds(ref.slot, ref.seq);
     }
 
     /** The first FIFO position whose @p field is not below @p key. */

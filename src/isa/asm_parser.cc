@@ -322,6 +322,19 @@ class Assembler
         return static_cast<int32_t>(v);
     }
 
+    /** Parse "imm(reg)" whose offset must fit the I/S formats' 16 bits. */
+    void
+    memOperand(const Line &line, const std::string &text, int32_t &off,
+               RegId &base) const
+    {
+        int64_t v;
+        if (!parseMemOperand(text, v, base))
+            parseError(line.number, "bad memory operand");
+        if (v < -32768 || v > 32767)
+            parseError(line.number, "memory offset out of range");
+        off = static_cast<int32_t>(v);
+    }
+
     void
     emitLi(RegId rd, uint32_t value)
     {
@@ -379,14 +392,21 @@ class Assembler
         Opcode op = static_cast<Opcode>(op_index);
         const OpInfo &info = opInfo(op);
 
+        // The word offset must fit the format's field of `bits` bits;
+        // a data label is usually beyond a branch's reach.
         auto branch_offset = [&](const std::string &target,
-                                 size_t inst_index) {
+                                 size_t inst_index, unsigned bits) {
             uint64_t addr = labelValue(line, target);
             int64_t delta =
                 (static_cast<int64_t>(addr) -
                  static_cast<int64_t>(code_base + 4 * inst_index)) /
                     4 -
                 1;
+            int64_t reach = int64_t(1) << (bits - 1);
+            if (delta < -reach || delta >= reach) {
+                parseError(line.number,
+                           "branch target '" + target + "' out of range");
+            }
             return static_cast<int32_t>(delta);
         };
 
@@ -411,13 +431,11 @@ class Assembler
           case InstFormat::I:
             if (info.isLoad) {
                 expect(line, 2);
-                int64_t off;
+                int32_t off;
                 RegId base;
-                if (!parseMemOperand(line.operands[1], off, base))
-                    parseError(line.number, "bad memory operand");
+                memOperand(line, line.operands[1], off, base);
                 emit(StaticInst(op, reg(line, line.operands[0]), base,
-                                reg_invalid,
-                                static_cast<int32_t>(off)));
+                                reg_invalid, off));
             } else if (op == Opcode::LUI) {
                 expect(line, 2);
                 emit(StaticInst(op, reg(line, line.operands[0]),
@@ -433,13 +451,11 @@ class Assembler
             break;
           case InstFormat::S: {
             expect(line, 2);
-            int64_t off;
+            int32_t off;
             RegId base;
-            if (!parseMemOperand(line.operands[1], off, base))
-                parseError(line.number, "bad memory operand");
+            memOperand(line, line.operands[1], off, base);
             emit(StaticInst(op, reg_invalid, base,
-                            reg(line, line.operands[0]),
-                            static_cast<int32_t>(off)));
+                            reg(line, line.operands[0]), off));
             break;
           }
           case InstFormat::B:
@@ -448,14 +464,14 @@ class Assembler
                             reg(line, line.operands[0]),
                             reg(line, line.operands[1]),
                             branch_offset(line.operands[2],
-                                          insts.size())));
+                                          insts.size(), 16)));
             break;
           case InstFormat::Jf:
             expect(line, 1);
             emit(StaticInst(op, info.isCall ? reg_ra : reg_invalid,
                             reg_invalid, reg_invalid,
                             branch_offset(line.operands[0],
-                                          insts.size())));
+                                          insts.size(), 26)));
             break;
           case InstFormat::JRf:
             if (info.isCall) {

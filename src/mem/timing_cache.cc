@@ -61,23 +61,13 @@ TimingCache::TimingCache(const CacheConfig &cfg,
     setsPerBank = static_cast<unsigned>(num_sets / cfg.banks);
     fatal_if(!isPowerOf2(setsPerBank), "%s: sets per bank not power of 2",
              cacheName.c_str());
+    blockShift = floorLog2(blockSize);
+    bankMask = numBanks - 1;
+    setShift = blockShift + floorLog2(numBanks);
+    setMask = setsPerBank - 1;
     lines.assign(num_blocks, Line{});
     bankBusyUntil.assign(numBanks, 0);
     primaryPerBank.assign(numBanks, 0);
-}
-
-unsigned
-TimingCache::bankOf(Addr block) const
-{
-    // Block-interleaved banking.
-    return static_cast<unsigned>((block / blockSize) % numBanks);
-}
-
-unsigned
-TimingCache::setOf(Addr block) const
-{
-    return static_cast<unsigned>((block / blockSize / numBanks) %
-                                 setsPerBank);
 }
 
 bool

@@ -123,8 +123,17 @@ class TimingCache : public MemLevel
     };
 
     Addr blockAddr(Addr addr) const { return addr & ~Addr(blockMask); }
-    unsigned bankOf(Addr block) const;
-    unsigned setOf(Addr block) const;
+    /** Block-interleaved banking: the block number's low bits. */
+    unsigned
+    bankOf(Addr block) const
+    {
+        return static_cast<unsigned>((block >> blockShift) & bankMask);
+    }
+    unsigned
+    setOf(Addr block) const
+    {
+        return static_cast<unsigned>((block >> setShift) & setMask);
+    }
 
     /** Install @p block, evicting LRU; returns the victim line. */
     Line &fillLine(Addr block, bool write);
@@ -137,6 +146,11 @@ class TimingCache : public MemLevel
     unsigned blockMask;
     unsigned numBanks;
     unsigned setsPerBank;
+    /** Block size, bank count and sets per bank are powers of two. */
+    unsigned blockShift;
+    unsigned bankMask;
+    unsigned setShift;
+    unsigned setMask;
     unsigned assoc;
     Cycles hitLatency;
     Cycles transferPerChunk;

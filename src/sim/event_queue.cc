@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace cwsim
@@ -12,26 +14,39 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
              "event scheduled in the past (when=%llu, now=%llu)",
              static_cast<unsigned long long>(when),
              static_cast<unsigned long long>(curTick_));
-    heap.push(Entry{when, priority, nextSeq++, std::move(cb)});
+    uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<uint32_t>(pool.size());
+        pool.push_back(std::move(cb));
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+        pool[slot] = std::move(cb);
+    }
+    heap.push_back(Key{when, priority, slot, nextSeq++});
+    std::push_heap(heap.begin(), heap.end(), Later{});
     ++numScheduled;
 }
 
 void
 EventQueue::fireNext()
 {
-    // Move out before popping: the callback may schedule new events.
-    // pop() only destroys the moved-from top, so the cast is safe.
-    Entry e = std::move(const_cast<Entry &>(heap.top()));
-    heap.pop();
-    curTick_ = e.when;
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    Key k = heap.back();
+    heap.pop_back();
+    curTick_ = k.when;
     ++numFired;
-    e.cb();
+    // Move out before running: the callback may schedule new events,
+    // which can reuse this slot or grow the pool.
+    Callback cb = std::move(pool[k.slot]);
+    freeSlots.push_back(k.slot);
+    cb();
 }
 
 void
 EventQueue::runUntil(Tick now)
 {
-    while (!heap.empty() && heap.top().when <= now)
+    while (!heap.empty() && heap.front().when <= now)
         fireNext();
     if (curTick_ < now)
         curTick_ = now;
@@ -47,7 +62,9 @@ EventQueue::drain()
 void
 EventQueue::reset()
 {
-    heap = decltype(heap)();
+    heap.clear();
+    pool.clear();
+    freeSlots.clear();
     curTick_ = 0;
     nextSeq = 0;
     // Counters too: a reused queue must not bleed scheduled/fired

@@ -13,7 +13,6 @@
 #define CWSIM_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "base/inplace_function.hh"
@@ -61,18 +60,23 @@ class EventQueue
     void reset();
 
   private:
-    struct Entry
+    /**
+     * What the heap orders: 24 bytes per event. The callback waits in
+     * pool[slot], so sifting moves no callable.
+     */
+    struct Key
     {
         Tick when;
-        int priority;
+        int32_t priority;
+        uint32_t slot;
         uint64_t seq;
-        Callback cb;
     };
+    static_assert(sizeof(Key) == 24, "event keys must stay 24 bytes");
 
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -85,7 +89,11 @@ class EventQueue
     /** Pop the earliest event, advance time to it and run it. */
     void fireNext();
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap;
+    /** A binary heap under Later: heap.front() fires next. */
+    std::vector<Key> heap;
+    /** Pending callbacks by slot; freeSlots lists the empty ones. */
+    std::vector<Callback> pool;
+    std::vector<uint32_t> freeSlots;
     Tick curTick_ = 0;
     uint64_t nextSeq = 0;
     uint64_t numScheduled = 0;

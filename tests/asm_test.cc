@@ -312,6 +312,20 @@ TEST(AsmDeathTest, DataSegmentPastAddressSpace)
                 ::testing::ExitedWithCode(1), "past 2\\^32");
 }
 
+TEST(AsmDeathTest, OutOfRangeBranchOrOffset)
+{
+    // A user's out-of-range operand is an assembly error, not the
+    // encoder's range assertion (a panic, which blames the simulator).
+    EXPECT_EXIT(assembleText(".data\nx: .word 1\n.text\nbne r1, r0, x\n"
+                             "halt\n"),
+                ::testing::ExitedWithCode(1), "branch target 'x' out of "
+                                              "range");
+    EXPECT_EXIT(assembleText("lw r1, 40000(r2)\nhalt\n"),
+                ::testing::ExitedWithCode(1), "memory offset out of range");
+    EXPECT_EXIT(assembleText("sw r1, -32769(r2)\nhalt\n"),
+                ::testing::ExitedWithCode(1), "memory offset out of range");
+}
+
 TEST(AsmDeathTest, DoubleWithTrailingJunk)
 {
     // std::stod stopped at the 'a' and accepted 1.5.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -458,6 +459,83 @@ TEST_F(ObsTest, SampledPhasesCompleteSingleCycleOpsOneCycleAfterIssue)
     }
     EXPECT_GT(checked, 5'000u);
     EXPECT_EQ(late, 0u) << "first late op: " << firstLate;
+    std::remove(pipe_path.c_str());
+}
+
+/** 64-bit FNV-1a over @p text. */
+uint64_t
+fnv1a64(const std::string &text)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST_F(ObsTest, PipelineTimelineIsPinned)
+{
+    // O3PipeView is the one output that prints the window record's
+    // issue and completion cycles and its replay, sync-wait, sel-hold,
+    // false-dep and spec-load annotations; no stats golden covers
+    // them. Each config's stream is pinned by its line count and
+    // digest, recorded from the simulator before the window record
+    // was repacked.
+    struct Pin
+    {
+        const char *name;
+        LsqModel model;
+        SpecPolicy policy;
+        RecoveryModel recovery;
+        size_t lines;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"NAS/NO", LsqModel::NAS, SpecPolicy::No, RecoveryModel::Squash,
+         32039, 0xd617453c803650a2ull},
+        {"NAS/SYNC", LsqModel::NAS, SpecPolicy::SpecSync,
+         RecoveryModel::Squash, 32067, 0xd984c6e527621b1full},
+        {"NAS/SEL", LsqModel::NAS, SpecPolicy::Selective,
+         RecoveryModel::Squash, 33068, 0x1a19e226716b4065ull},
+        {"AS/NAV", LsqModel::AS, SpecPolicy::Naive, RecoveryModel::Squash,
+         30485, 0xd23204b318bddf45ull},
+        {"NAS/NAV selective", LsqModel::NAS, SpecPolicy::Naive,
+         RecoveryModel::Selective, 30380, 0xe3a6e6f0218cca12ull},
+    };
+
+    Workload w = workloads::build("129.compress", 2000);
+    PrepassResult pre = runPrepass(w.program);
+    ASSERT_TRUE(pre.halted);
+    const std::string pipe_path = tmpPath("pinned_pipeview.out");
+    obs::TraceManager &tm = obs::TraceManager::instance();
+    std::string streams;
+    for (const Pin &pin : pins) {
+        SimConfig cfg = withPolicy(makeW128Config(), pin.model, pin.policy);
+        cfg.mdp.recovery = pin.recovery;
+        ASSERT_TRUE(tm.setPipeViewPath(pipe_path));
+        {
+            Processor proc(cfg, w.program, &pre.deps);
+            proc.run();
+            ASSERT_TRUE(proc.halted()) << pin.name;
+        }
+        tm.resetForTesting(); // close the pipeview file before reading
+        std::string text = slurp(pipe_path);
+        size_t lines =
+            static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+        uint64_t digest = fnv1a64(text);
+        EXPECT_EQ(lines, pin.lines) << pin.name;
+        EXPECT_EQ(digest, pin.digest)
+            << pin.name
+            << strfmt(": digest 0x%016llx",
+                      static_cast<unsigned long long>(digest));
+        streams += text;
+    }
+    for (const char *annotation : {"[replay x", "[sync-wait]", "[sel-hold]",
+                                   "[false-dep ", "[spec-load]"}) {
+        EXPECT_NE(streams.find(annotation), std::string::npos)
+            << annotation;
+    }
     std::remove(pipe_path.c_str());
 }
 

@@ -1,14 +1,15 @@
 /**
  * @file
- * A seeded, deterministic mutation fuzzer for three readers: the
- * config text parser, the run-record parser and the dependence-profile
- * loader. Each is fed mutants of committed inputs — byte flips,
- * truncations, deleted or duplicated fields and lines, sign and digit
- * edits — and must reject what it cannot read through its normal
- * path: a false return, or a SimError under a ScopedErrorTrap for the
- * config parser. A crash or a hang fails the test binary; any other
- * exception fails the test. Run records the parser accepts must also
- * survive a write-and-parse round trip unchanged.
+ * A seeded, deterministic mutation fuzzer for four readers: the
+ * config text parser, the run-record parser, the dependence-profile
+ * loader and the assembler. Each is fed mutants of committed inputs —
+ * byte flips, truncations, deleted or duplicated fields and lines, sign
+ * and digit edits — and must reject what it cannot read through its
+ * normal path: a false return, or a SimError under a ScopedErrorTrap
+ * for the config parser and the assembler. A crash or a hang fails the
+ * test binary; any other exception fails the test. Run records the
+ * parser accepts must also survive a write-and-parse round trip
+ * unchanged.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "base/random.hh"
 #include "base/sim_error.hh"
 #include "base/str.hh"
+#include "isa/asm_parser.hh"
 #include "mdp/dep_profile.hh"
 #include "sim/config.hh"
 #include "sim/config_parse.hh"
@@ -259,6 +261,42 @@ TEST(ParserFuzz, DepProfilesRejectByReturningFalse)
             ++(ok ? accepted : rejected);
         } catch (const std::exception &e) {
             ADD_FAILURE() << "threw " << e.what() << ":\n" << text;
+        }
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(ParserFuzz, AssemblerRejectsThroughFatal)
+{
+    // The assembler reports every malformed program through fatal()
+    // with a line number, which a ScopedErrorTrap turns into a
+    // SimError of kind Fatal. A Panic would mean a user's typo reached
+    // an internal assertion (an encoder's range check, say).
+    std::vector<std::string> seeds;
+    for (const char *name :
+         {"examples/asm/dot_product.s", "examples/asm/histogram.s"}) {
+        seeds.push_back(join(sourceLines(name)));
+        ScopedErrorTrap trap;
+        ASSERT_NO_THROW(assembleText(seeds.back())) << name;
+    }
+
+    Random rng(0xa55e);
+    size_t accepted = 0, rejected = 0;
+    for (int i = 0; i < mutations; ++i) {
+        // Alternate line-level and operand-level edits.
+        std::string text =
+            mutant(rng, seeds[rng.below(seeds.size())], i % 2 ? '\n' : ' ');
+        ScopedErrorTrap trap;
+        try {
+            assembleText(text);
+            ++accepted;
+        } catch (const SimError &e) {
+            ++rejected;
+            EXPECT_EQ(e.kind(), SimErrorKind::Fatal)
+                << e.message() << ":\n" << text;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "escaped as " << e.what() << ":\n" << text;
         }
     }
     EXPECT_GT(accepted, 0u);

@@ -158,6 +158,100 @@ TEST(EventQueueTest, SameTickOrderSpansBothLanes)
     EXPECT_EQ(order[2], 2);
 }
 
+TEST(EventQueueTest, EqualTickFifoHoldsAcrossRecycledSlots)
+{
+    // Firing frees callback slots that later schedules reuse; a reused
+    // slot must not change the order: equal ticks still fire in
+    // insertion order, whichever slots their callbacks landed in.
+    EventQueue eq;
+    std::vector<int> order;
+    int next_id = 0;
+    for (Tick t = 1; t <= 50; ++t) {
+        // A few events fire and free their slots, then more arrive at
+        // a shared later tick, interleaved with the firing.
+        for (int k = 0; k < 3; ++k) {
+            int id = next_id++;
+            eq.schedule(t, [&order, id] { order.push_back(id); });
+        }
+        for (int k = 0; k < 2; ++k) {
+            int id = next_id++;
+            eq.schedule(100, [&order, id] { order.push_back(id); });
+        }
+        eq.runUntil(t);
+    }
+    eq.runUntil(100);
+    ASSERT_EQ(order.size(), static_cast<size_t>(next_id));
+    // The tick-t events fire at t in insertion order; the tick-100
+    // events fire last, also in insertion order.
+    std::vector<int> expect;
+    for (int t = 0; t < 50; ++t) {
+        for (int k = 0; k < 3; ++k)
+            expect.push_back(5 * t + k);
+    }
+    for (int t = 0; t < 50; ++t) {
+        for (int k = 3; k < 5; ++k)
+            expect.push_back(5 * t + k);
+    }
+    EXPECT_EQ(order, expect);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueTest, CallbackThatGrowsThePoolFiresEverythingInOrder)
+{
+    // One firing callback schedules 1,000 events: the callback pool
+    // grows (and relocates) while that callback runs.
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> fired;
+    eq.schedule(5, [&] {
+        for (int i = 0; i < 1000; ++i) {
+            eq.scheduleIn(static_cast<Cycles>(i % 7), [&fired, &eq, i] {
+                fired.emplace_back(eq.curTick(), i);
+            });
+        }
+    });
+    eq.runUntil(5); // runs the 143 zero-delay events too
+    EXPECT_EQ(eq.size(), 857u);
+    eq.drain();
+    ASSERT_EQ(fired.size(), 1000u);
+    // By tick, then by insertion order within a tick.
+    std::vector<std::pair<Tick, int>> expect;
+    for (int d = 0; d < 7; ++d) {
+        for (int i = d; i < 1000; i += 7)
+            expect.emplace_back(5 + d, i);
+    }
+    EXPECT_EQ(fired, expect);
+    EXPECT_EQ(eq.scheduledCount(), 1001u);
+    EXPECT_EQ(eq.firedCount(), 1001u);
+}
+
+TEST(EventQueueTest, ResetWithEventsPendingThenReuse)
+{
+    EventQueue eq;
+    int stale = 0;
+    for (Tick t = 1; t <= 40; ++t)
+        eq.schedule(t * 3, [&stale] { ++stale; });
+    eq.runUntil(30); // ten fire, thirty stay pending
+    EXPECT_EQ(stale, 10);
+    EXPECT_EQ(eq.size(), 30u);
+
+    eq.reset();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.curTick(), 0u);
+
+    // Nothing of the discarded events fires, and the reused queue
+    // keeps the ordering contract from tick 0.
+    std::vector<int> order;
+    eq.schedule(2, [&] { order.push_back(2); });
+    eq.schedule(1, [&] { order.push_back(0); });
+    eq.schedule(1, [&] { order.push_back(1); });
+    eq.drain();
+    EXPECT_EQ(stale, 10);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.scheduledCount(), 3u);
+    EXPECT_EQ(eq.firedCount(), 3u);
+    EXPECT_EQ(eq.curTick(), 2u);
+}
+
 TEST(StatsTest, ScalarAccumulates)
 {
     stats::Scalar s;
