@@ -297,4 +297,12 @@ getBool(const std::map<std::string, std::string> &fields,
     return true;
 }
 
+std::string
+field(const std::map<std::string, std::string> &fields,
+      const std::string &key)
+{
+    auto it = fields.find(key);
+    return it == fields.end() ? std::string() : it->second;
+}
+
 } // namespace cwsim

@@ -71,6 +71,10 @@ bool getStr(const std::map<std::string, std::string> &fields,
 bool getBool(const std::map<std::string, std::string> &fields,
              const std::string &key, bool &out);
 
+/** The raw text of @p key, or "" when it is missing. */
+std::string field(const std::map<std::string, std::string> &fields,
+                  const std::string &key);
+
 } // namespace cwsim
 
 #endif // CWSIM_BASE_JSONL_HH

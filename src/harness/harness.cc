@@ -272,7 +272,7 @@ formatPct(double fraction, int decimals)
 uint64_t
 benchScale()
 {
-    return envUint64("CWSIM_SCALE", 1000, 80'000);
+    return envUint64("CWSIM_SCALE", workloads::min_scale, 80'000);
 }
 
 double

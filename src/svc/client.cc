@@ -115,5 +115,68 @@ Client::nextEvent(std::map<std::string, std::string> &ev,
     }
 }
 
+CliSpec
+clientCli(ClientArgs &a)
+{
+    return {
+        .usage = {"--socket PATH [options]"},
+        .flags = {
+            {.name = "--socket", .meta = "PATH", .to = &a.socketPath,
+             .required = true, .help = "connect to a cwsimd Unix socket"},
+            {.name = "--id", .meta = "S", .to = &a.id,
+             .help = "sweep identifier (default: sweep)"},
+            {.name = "--preset", .meta = "P", .to = &a.preset,
+             .help = "named plan (fig2)"},
+            {.name = "--workloads", .meta = "W", .to = &a.workloads,
+             .help = "all | int | fp | comma-separated names"},
+            {.name = "--filter", .meta = "SUB", .to = &a.filter,
+             .help = "only workloads whose name contains SUB"},
+            {.name = "--scale", .meta = "N", .to = &a.scale,
+             .help = "dynamic-instruction target"},
+            {.name = "--config", .meta = "OPTS", .to = &a.configs,
+             .help = "one config as comma-separated key=value overrides; "
+                     "repeat for more configs"},
+            {.name = "--set", .meta = "K=V", .to = &a.sets,
+             .help = "apply an override to every config (repeatable)"},
+            {.name = "--interval", .meta = "N", .to = &a.interval,
+             .help = "stream interval samples every N cycles"},
+            {.name = "--interval-file", .meta = "P", .to = &a.intervalPath,
+             .help = "write streamed samples to P"},
+            {.name = "--json", .meta = "PATH", .to = &a.jsonPath,
+             .help = "append one JSONL record per run to PATH"},
+            {.name = "--stats", .to = &a.stats,
+             .help = "print server stats and exit"},
+            {.name = "--shutdown", .to = &a.shutdown,
+             .help = "ask the server to drain and exit"},
+            {.name = "--quiet", .to = &a.quiet,
+             .help = "no per-run progress lines"},
+            cli_version,
+            cli_help,
+        },
+    };
+}
+
+std::string
+submitRequest(const ClientArgs &a)
+{
+    auto join = [](const std::vector<std::string> &parts, char sep) {
+        std::string out;
+        for (const std::string &p : parts)
+            out += (out.empty() ? "" : std::string(1, sep)) + p;
+        return out;
+    };
+    JsonObject req;
+    req.add("cmd", "submit").add("id", a.id);
+    for (const auto &[key, value] :
+         {std::pair<const char *, std::string>{"preset", a.preset},
+          {"workloads", a.workloads}, {"filter", a.filter},
+          {"scale", a.scale}, {"configs", join(a.configs, ';')},
+          {"set", join(a.sets, ',')}, {"interval", a.interval}}) {
+        if (!value.empty())
+            req.add(key, value);
+    }
+    return req.str();
+}
+
 } // namespace svc
 } // namespace cwsim

@@ -16,6 +16,9 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
+
+#include "base/cli.hh"
 
 namespace cwsim
 {
@@ -71,6 +74,25 @@ class Client
     std::string inBuf;
     std::string last;
 };
+
+/** cwsim-client's command line. */
+struct ClientArgs
+{
+    std::string socketPath;
+    std::string id = "sweep";
+    std::string preset, workloads, filter;
+    /** Sent as given: the daemon's spec parser checks them. */
+    std::string scale, interval;
+    std::vector<std::string> configs, sets;
+    std::string intervalPath, jsonPath;
+    bool stats = false, shutdown = false, quiet = false;
+};
+
+/** cwsim-client's flags, bound to @p args. */
+CliSpec clientCli(ClientArgs &args);
+
+/** The submit request line cwsim-client sends for @p args. */
+std::string submitRequest(const ClientArgs &args);
 
 } // namespace svc
 } // namespace cwsim

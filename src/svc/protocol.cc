@@ -1,5 +1,8 @@
 #include "svc/protocol.hh"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "sweep/run_cache.hh"
@@ -23,6 +26,29 @@ versionLine(const char *tool)
                   (unsigned long long)sweep::run_record_version,
                   protocol_version,
                   build[0] ? build : "unknown");
+}
+
+int
+toolError(const char *tool, const std::string &msg)
+{
+    std::fprintf(stderr, "%s: %s\n", tool, msg.c_str());
+    return 2;
+}
+
+void
+parseToolArgs(const CliSpec &spec, int argc, char **argv, const char *tool)
+{
+    CliRequest request = CliRequest::Run;
+    std::string err;
+    if (!parseCli(spec, argc, argv, request, err))
+        std::exit(toolError(tool, err));
+    if (request == CliRequest::Run)
+        return;
+    std::fputs(request == CliRequest::Help
+                   ? cliHelp(spec, argv[0]).c_str()
+                   : (versionLine(tool) + "\n").c_str(),
+               stdout);
+    std::exit(0);
 }
 
 std::string

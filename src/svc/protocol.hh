@@ -51,6 +51,8 @@
 #include <map>
 #include <string>
 
+#include "base/cli.hh"
+
 namespace cwsim
 {
 namespace svc
@@ -92,6 +94,17 @@ bool takeLine(std::string &buf, std::string &line);
  * and the clients poking at it report comparable identities.
  */
 std::string versionLine(const char *tool);
+
+/** A tool's error path: print "tool: message" to stderr; return 2. */
+int toolError(const char *tool, const std::string &msg);
+
+/**
+ * Parse a tool's @p argv through @p spec. --help and --version print
+ * to stdout and exit 0; a malformed command line goes through
+ * toolError() and exits 2.
+ */
+void parseToolArgs(const CliSpec &spec, int argc, char **argv,
+                   const char *tool);
 
 } // namespace svc
 } // namespace cwsim

@@ -28,13 +28,7 @@ namespace svc
 namespace
 {
 
-std::string
-field(const std::map<std::string, std::string> &fields,
-      const char *key)
-{
-    auto it = fields.find(key);
-    return it == fields.end() ? std::string() : it->second;
-}
+using sweep::elapsedMs;
 
 void
 closeFd(int &fd)
@@ -43,17 +37,6 @@ closeFd(int &fd)
         ::close(fd);
         fd = -1;
     }
-}
-
-double
-elapsedMs(std::chrono::steady_clock::time_point from,
-          std::chrono::steady_clock::time_point to)
-{
-    if (to <= from)
-        return 0;
-    return std::chrono::duration_cast<
-               std::chrono::duration<double, std::milli>>(to - from)
-        .count();
 }
 
 /** Stable label value for a submit-rejection reason. */
@@ -82,6 +65,56 @@ constexpr uint64_t trace_pid_clients = 1;
 constexpr uint64_t trace_pid_slots = 2;
 
 } // anonymous namespace
+
+CliSpec
+daemonCli(ServerOptions &o)
+{
+    // Flags mean what the bench CLI's flags of the same name mean.
+    // resolveJobs and harness::benchScale read CWSIM_JOBS and
+    // CWSIM_SCALE when --jobs or --scale is absent.
+    return {
+        .usage = {"--socket PATH [options]"},
+        .flags = {
+            {.name = "--socket", .meta = "PATH", .to = &o.socketPath,
+             .required = true, .help = "Unix-domain socket to listen on"},
+            {.name = "--cache-dir", .meta = "D", .to = &o.cacheDir,
+             .env = "CWSIM_CACHE_DIR",
+             .help = "shared run-cache directory (default .cwsim-cache)"},
+            {.name = "--jobs", .meta = "N", .to = &o.slots,
+             .libEnv = "CWSIM_JOBS",
+             .help = "worker slots (default: all hardware threads)"},
+            {.name = "--scale", .meta = "N", .to = &o.defaultScale,
+             .min = workloads::min_scale, .libEnv = "CWSIM_SCALE",
+             .help = "default dynamic-instruction target for specs that "
+                     "omit one"},
+            {.name = "--timeout", .meta = "S", .to = &o.timeoutSec,
+             .help = "wall-clock deadline per run, seconds (0 = none)"},
+            {.name = "--mem-limit", .meta = "MB", .to = &o.memLimitMb,
+             .max = sweep::max_mem_limit_mb,
+             .help = "address-space cap per worker, MiB (0 = none)"},
+            {.name = "--retries", .meta = "N", .to = &o.retries,
+             .help = "retries for host-level run failures (default 1)"},
+            {.name = "--max-queued", .meta = "N",
+             .to = &o.limits.maxQueued,
+             .help = "bounded admission queue (default 1024)"},
+            {.name = "--quota", .meta = "N",
+             .to = &o.limits.maxClientInflight,
+             .help = "per-client in-flight run cap (default 512)"},
+            {.name = "--metrics-file", .meta = "P", .to = &o.metricsPath,
+             .help = "dump Prometheus text exposition to P periodically "
+                     "(atomic rename)"},
+            {.name = "--metrics-interval", .meta = "S",
+             .to = &o.metricsPeriodSec, .positive = true,
+             .help = "seconds between metrics-file dumps (default 5)"},
+            {.name = "--trace-events", .meta = "P",
+             .to = &o.traceEventsPath,
+             .help = "write per-run lifecycle spans as Chrome trace-event "
+                     "JSON to P"},
+            cli_version,
+            cli_help,
+        },
+    };
+}
 
 Server::Server(ServerOptions o) : opts(std::move(o))
 {

@@ -39,6 +39,7 @@
 #include <memory>
 #include <string>
 
+#include "base/cli.hh"
 #include "harness/harness.hh"
 #include "obs/metrics.hh"
 #include "obs/spans.hh"
@@ -85,6 +86,9 @@ struct ServerOptions
      */
     std::string traceEventsPath;
 };
+
+/** cwsimd's flags, bound to @p opts. */
+CliSpec daemonCli(ServerOptions &opts);
 
 class Server
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "base/jsonl.hh"
 #include "base/sim_error.hh"
 #include "base/str.hh"
 #include "sim/config_parse.hh"
@@ -14,14 +15,6 @@ namespace svc
 
 namespace
 {
-
-std::string
-field(const std::map<std::string, std::string> &fields,
-      const char *key)
-{
-    auto it = fields.find(key);
-    return it == fields.end() ? std::string() : it->second;
-}
 
 /**
  * Resolve a workloads selector ("all"/"int"/"fp"/comma list of
@@ -161,9 +154,10 @@ parseSweepSpec(const std::map<std::string, std::string> &fields,
 
     std::string scaleText = field(fields, "scale");
     if (!scaleText.empty()) {
-        if (!parseUnsigned(scaleText, spec.scale) || spec.scale < 1000) {
-            err = strfmt("bad scale '%s' (minimum 1000)",
-                         scaleText.c_str());
+        if (!parseUnsigned(scaleText, spec.scale) ||
+            spec.scale < workloads::min_scale) {
+            err = strfmt("bad scale '%s' (minimum %llu)", scaleText.c_str(),
+                         (unsigned long long)workloads::min_scale);
             return false;
         }
     }

@@ -1,8 +1,8 @@
 #include "sweep/bench_cli.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "base/logging.hh"
 #include "base/str.hh"
@@ -14,236 +14,98 @@
 #include "sweep/isolate.hh"
 #include "sweep/report.hh"
 #include "sweep/run_cache.hh"
+#include "workloads/workload.hh"
 
 namespace cwsim
 {
 namespace sweep
 {
 
-namespace
+CliSpec
+benchCli(BenchOptions &o)
 {
-
-void
-printUsage(const char *prog, std::FILE *out)
-{
-    // One row per flag: description, then the environment-variable
-    // equivalent ("-" when the flag has none). Keep this table in sync
-    // with the parser below and the header comment.
-    struct FlagHelp
-    {
-        const char *flag;
-        const char *desc;
-        const char *env;
+    // CWSIM_JOBS, CWSIM_SCALE and the tracing variables are read where
+    // they take effect (resolveJobs, harness::benchScale, the trace and
+    // profile managers); their rows only name them.
+    return {
+        .usage = {"[options]"},
+        .flags = {
+            {.name = "--jobs", .alias = "-j", .meta = "N", .to = &o.jobs,
+             .min = 1, .libEnv = "CWSIM_JOBS",
+             .help = "worker threads (default: all hardware threads)"},
+            {.name = "--scale", .meta = "N", .to = &o.scale,
+             .min = workloads::min_scale, .libEnv = "CWSIM_SCALE",
+             .help = "dynamic-instruction target per workload"},
+            {.name = "--filter", .meta = "SUB", .to = &o.filter,
+             .help = "only workloads whose name contains SUB"},
+            {.name = "--json", .meta = "PATH", .to = &o.jsonPath,
+             .help = "append one JSONL record per run to PATH"},
+            {.name = "--no-cache", .to = &o.cache, .sets = false,
+             .help = "bypass the on-disk run cache"},
+            {.name = "--cache-dir", .meta = "D", .to = &o.cacheDir,
+             .env = "CWSIM_CACHE_DIR",
+             .help = "run-cache directory (default .cwsim-cache)"},
+            {.name = "--trace", .meta = "FLAGS", .to = &o.traceSpec,
+             .libEnv = "CWSIM_TRACE",
+             .help = "enable trace flags (e.g. MDP,Recovery or all)"},
+            {.name = "--trace-file", .meta = "P", .to = &o.traceFile,
+             .libEnv = "CWSIM_TRACE_FILE",
+             .help = "trace output path (default stderr)"},
+            {.name = "--pipeview", .meta = "P", .to = &o.pipeviewPath,
+             .libEnv = "CWSIM_PIPEVIEW",
+             .help = "O3PipeView pipeline-trace path (use --jobs 1)"},
+            {.name = "--interval", .meta = "N", .to = &o.intervalCycles,
+             .min = 1, .libEnv = "CWSIM_INTERVAL",
+             .help = "sample interval stats every N cycles"},
+            {.name = "--interval-file", .meta = "P", .to = &o.intervalFile,
+             .libEnv = "CWSIM_INTERVAL_FILE",
+             .help = "interval-stats JSONL path"},
+            {.name = "--depprof", .to = &o.depprof,
+             .libEnv = "CWSIM_DEPPROF",
+             .help = "collect per-static-PC dependence profiles (JSONL)"},
+            {.name = "--depprof-file", .meta = "P", .to = &o.depprofFile,
+             .implies = &o.depprof, .libEnv = "CWSIM_DEPPROF",
+             .help = "dependence-profile path (implies --depprof)"},
+            {.name = "--cpi-stack", .to = &o.cpiStack,
+             .env = "CWSIM_CPI_STACK",
+             .help = "print the per-run CPI stack (commit-slot losses)"},
+            {.name = "--isolate", .to = &o.isolate, .env = "CWSIM_ISOLATE",
+             .help = "sandbox runs in worker processes (contain crashes)"},
+            {.name = "--timeout", .meta = "S", .to = &o.timeoutSec,
+             .env = "CWSIM_TIMEOUT",
+             .help = "wall-clock deadline per isolated run, seconds "
+                     "(0 = none)"},
+            {.name = "--mem-limit", .meta = "MB", .to = &o.memLimitMb,
+             .max = max_mem_limit_mb, .env = "CWSIM_MEM_LIMIT",
+             .help = "address-space cap per isolated worker, MiB "
+                     "(0 = none)"},
+            {.name = "--retries", .meta = "N", .to = &o.retries,
+             .env = "CWSIM_RETRIES",
+             .help = "retries for host-level failures of an isolated run"},
+            // Checked when applied, before any simulation runs.
+            {.name = "--set", .meta = "K=V", .to = &o.configOverrides,
+             .help = "apply a config override to every job (repeatable)"},
+            {.name = "--cache-fsck", .to = &o.cacheFsck,
+             .help = "scan the run cache, report, and exit"},
+            {.name = "--cache-compact", .to = &o.cacheCompact,
+             .help = "drop superseded run-cache records and exit"},
+            cli_help,
+        },
     };
-    static const FlagHelp flags[] = {
-        {"--jobs N", "worker threads (default: all hardware threads)",
-         "CWSIM_JOBS"},
-        {"--scale N",
-         "dynamic-instruction target per workload (min 1000)",
-         "CWSIM_SCALE"},
-        {"--filter SUB", "only workloads whose name contains SUB",
-         "-"},
-        {"--json PATH", "append one JSONL record per run to PATH",
-         "-"},
-        {"--no-cache", "bypass the on-disk run cache", "-"},
-        {"--cache-dir D", "run-cache directory (default .cwsim-cache)",
-         "CWSIM_CACHE_DIR"},
-        {"--trace=FLAGS",
-         "enable trace flags (e.g. MDP,Recovery or all)",
-         "CWSIM_TRACE"},
-        {"--trace-file P", "trace output path (default stderr)",
-         "CWSIM_TRACE_FILE"},
-        {"--pipeview P",
-         "O3PipeView pipeline-trace path (use --jobs 1)",
-         "CWSIM_PIPEVIEW"},
-        {"--interval N", "sample interval stats every N cycles",
-         "CWSIM_INTERVAL"},
-        {"--interval-file P", "interval-stats JSONL path",
-         "CWSIM_INTERVAL_FILE"},
-        {"--depprof",
-         "collect per-static-PC dependence profiles (JSONL)",
-         "CWSIM_DEPPROF"},
-        {"--depprof-file P",
-         "dependence-profile path (implies --depprof)",
-         "CWSIM_DEPPROF"},
-        {"--cpi-stack",
-         "print the per-run CPI stack (commit-slot losses)",
-         "CWSIM_CPI_STACK"},
-        {"--isolate",
-         "sandbox runs in worker processes (contain crashes)",
-         "CWSIM_ISOLATE"},
-        {"--timeout S",
-         "wall-clock deadline per isolated run, seconds (0 = none)",
-         "CWSIM_TIMEOUT"},
-        {"--mem-limit MB",
-         "address-space cap per isolated worker, MiB (0 = none)",
-         "CWSIM_MEM_LIMIT"},
-        {"--retries N",
-         "retries for host-level failures of an isolated run",
-         "CWSIM_RETRIES"},
-        {"--set K=V",
-         "apply a config override to every job (repeatable)", "-"},
-        {"--cache-fsck", "scan the run cache, report, and exit", "-"},
-        {"--cache-compact",
-         "drop superseded run-cache records and exit", "-"},
-        {"--help", "this message", "-"},
-    };
-    std::fprintf(out, "usage: %s [options]\n", prog);
-    std::fprintf(out, "  %-18s %-53s %s\n", "flag", "description",
-                 "env equivalent");
-    for (const FlagHelp &f : flags)
-        std::fprintf(out, "  %-18s %-53s %s\n", f.flag, f.desc, f.env);
-    std::fprintf(out, "Value-taking flags also accept --flag=value.\n");
 }
-
-/** The most a 32-bit count (--jobs, --retries) can hold. */
-constexpr uint64_t max_count32 = std::numeric_limits<unsigned>::max();
-
-uint64_t
-parseCount(const char *flag, const std::string &value, uint64_t min,
-           uint64_t max = std::numeric_limits<uint64_t>::max())
-{
-    uint64_t v = 0;
-    fatal_if(!parseUnsigned(value, v),
-             "%s: not an unsigned integer: '%s'", flag, value.c_str());
-    fatal_if(v < min, "%s: must be >= %llu (got %llu)", flag,
-             static_cast<unsigned long long>(min),
-             static_cast<unsigned long long>(v));
-    fatal_if(v > max, "%s: must be <= %llu (got %llu)", flag,
-             static_cast<unsigned long long>(max),
-             static_cast<unsigned long long>(v));
-    return v;
-}
-
-double
-secondsArg(const char *flag, const std::string &value)
-{
-    double v = 0;
-    fatal_if(!parseSeconds(value, v),
-             "%s: not a non-negative number of seconds: '%s'", flag,
-             value.c_str());
-    return v;
-}
-
-/** CWSIM_TIMEOUT-style fractional-seconds env knob. */
-double
-envSeconds(const char *name, double fallback)
-{
-    const char *text = std::getenv(name);
-    if (!text || !*text)
-        return fallback;
-    double v = fallback;
-    if (!parseSeconds(text, v)) {
-        warn("%s: not a non-negative number: '%s' (using %g)", name,
-             text, fallback);
-    }
-    return v;
-}
-
-} // anonymous namespace
 
 BenchOptions
 parseBenchArgs(int argc, char **argv, uint64_t defaultScale)
 {
+    // A bench that halves CWSIM_SCALE still builds its kernels at the
+    // minimum scale or above.
     BenchOptions opts;
-    opts.scale = defaultScale ? defaultScale : harness::benchScale();
-    opts.cpiStack = envUint64("CWSIM_CPI_STACK", 0, 0) != 0;
-    opts.isolate = envUint64("CWSIM_ISOLATE", 0, 0) != 0;
-    opts.timeoutSec = envSeconds("CWSIM_TIMEOUT", 0);
-    opts.memLimitMb =
-        envUint64("CWSIM_MEM_LIMIT", 0, 0, max_mem_limit_mb);
-    opts.retries = static_cast<unsigned>(
-        envUint64("CWSIM_RETRIES", 0, 1, max_count32));
-    // A shared corpus (ROADMAP item 1): point every bench and the
-    // cwsimd daemon at one cache directory without threading a flag
-    // through each invocation. --cache-dir still overrides.
-    if (const char *dir = std::getenv("CWSIM_CACHE_DIR");
-        dir && *dir) {
-        opts.cacheDir = dir;
-    }
-
-    // Every value-taking flag accepts both "--flag value" and
-    // "--flag=value" (the latter is how --trace=MDP,Recovery reads
-    // naturally).
-    bool has_inline = false;
-    std::string inline_value;
-    auto value = [&](int &i, const char *flag) -> std::string {
-        if (has_inline)
-            return inline_value;
-        fatal_if(i + 1 >= argc, "%s requires a value", flag);
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        size_t eq = arg.find('=');
-        has_inline = startsWith(arg, "--") && eq != std::string::npos;
-        if (has_inline) {
-            inline_value = arg.substr(eq + 1);
-            arg.erase(eq);
-        }
-        if (arg == "--jobs" || arg == "-j") {
-            opts.jobs = static_cast<unsigned>(parseCount(
-                "--jobs", value(i, "--jobs"), 1, max_count32));
-        } else if (arg == "--scale") {
-            opts.scale =
-                parseCount("--scale", value(i, "--scale"), 1000);
-        } else if (arg == "--filter") {
-            opts.filter = value(i, "--filter");
-        } else if (arg == "--json") {
-            opts.jsonPath = value(i, "--json");
-        } else if (arg == "--no-cache") {
-            opts.cache = false;
-        } else if (arg == "--cache-dir") {
-            opts.cacheDir = value(i, "--cache-dir");
-        } else if (arg == "--trace") {
-            opts.traceSpec = value(i, "--trace");
-        } else if (arg == "--trace-file") {
-            opts.traceFile = value(i, "--trace-file");
-        } else if (arg == "--pipeview") {
-            opts.pipeviewPath = value(i, "--pipeview");
-        } else if (arg == "--interval") {
-            opts.intervalCycles =
-                parseCount("--interval", value(i, "--interval"), 1);
-        } else if (arg == "--interval-file") {
-            opts.intervalFile = value(i, "--interval-file");
-        } else if (arg == "--depprof") {
-            opts.depprof = true;
-        } else if (arg == "--depprof-file") {
-            opts.depprofFile = value(i, "--depprof-file");
-            opts.depprof = true;
-        } else if (arg == "--cpi-stack") {
-            opts.cpiStack = true;
-        } else if (arg == "--isolate") {
-            opts.isolate = true;
-        } else if (arg == "--timeout") {
-            opts.timeoutSec =
-                secondsArg("--timeout", value(i, "--timeout"));
-        } else if (arg == "--mem-limit") {
-            opts.memLimitMb = parseCount(
-                "--mem-limit", value(i, "--mem-limit"), 0,
-                max_mem_limit_mb);
-        } else if (arg == "--retries") {
-            opts.retries = static_cast<unsigned>(parseCount(
-                "--retries", value(i, "--retries"), 0, max_count32));
-        } else if (arg == "--set") {
-            // Validation happens when the override is applied (it
-            // needs a config to apply to); a bad key is still fatal
-            // before any simulation runs.
-            opts.configOverrides.push_back(value(i, "--set"));
-        } else if (arg == "--cache-fsck") {
-            opts.cacheFsck = true;
-        } else if (arg == "--cache-compact") {
-            opts.cacheCompact = true;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0], stdout);
-            std::exit(0);
-        } else {
-            // Mistyped flags are the most common bench-CLI mistake;
-            // show the full usage so the fix is one screen away.
-            printUsage(argv[0], stderr);
-            fatal("unknown option '%s'", argv[i]);
-        }
+    opts.scale = std::max(defaultScale ? defaultScale : harness::benchScale(),
+                          workloads::min_scale);
+    CliSpec cli = benchCli(opts);
+    if (parseCliOrFatal(cli, argc, argv) == CliRequest::Help) {
+        std::fputs(cliHelp(cli, argv[0]).c_str(), stdout);
+        std::exit(0);
     }
     return opts;
 }

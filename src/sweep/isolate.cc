@@ -394,17 +394,6 @@ finalizeResult(const IsolatePool::Task &task, const JobOutcome &cls,
     return r;
 }
 
-/** Milliseconds between two steady-clock points, clamped at 0. */
-double
-elapsedMs(Clock::time_point from, Clock::time_point to)
-{
-    if (to <= from)
-        return 0;
-    return std::chrono::duration_cast<
-               std::chrono::duration<double, std::milli>>(to - from)
-        .count();
-}
-
 /** Block until @p pid is reaped; its wait status. */
 int
 waitFor(pid_t pid)
@@ -418,6 +407,16 @@ waitFor(pid_t pid)
 }
 
 } // anonymous namespace
+
+double
+elapsedMs(Clock::time_point from, Clock::time_point to)
+{
+    if (to <= from)
+        return 0;
+    return std::chrono::duration_cast<
+               std::chrono::duration<double, std::milli>>(to - from)
+        .count();
+}
 
 IsolatePool::IsolatePool(IsolateOptions opts, harness::Runner *base)
     : opts(opts), base(base), slots(std::max(1u, opts.slots))

@@ -88,6 +88,10 @@ namespace sweep
  */
 constexpr uint64_t max_mem_limit_mb = ~uint64_t{0} >> 20;
 
+/** Milliseconds between two steady-clock points, clamped at 0. */
+double elapsedMs(std::chrono::steady_clock::time_point from,
+                 std::chrono::steady_clock::time_point to);
+
 struct IsolateOptions
 {
     /** Concurrent worker processes. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -1243,6 +1244,45 @@ size_t
 reportFailures(const harness::Runner &runner)
 {
     return reportFailures(harness::collectFailures(runner));
+}
+
+CliSpec
+reportCli(ReportArgs &a)
+{
+    return {
+        .usage = {"[--format md|html] [--out PATH] [--top N] SWEEP.jsonl",
+                  "--diff BASELINE.jsonl CURRENT.jsonl",
+                  "--connect SOCKET [--format md|html] [--out PATH]",
+                  "--connect SOCKET --status",
+                  "--depprof PROFILE.depprof.jsonl [--format md|html]"},
+        .about = "Render a cwsim sweep JSONL file as a report, or compare "
+                 "two\nsweep files and flag any drift in simulated stats\n"
+                 "(host-profiling fields are ignored; failed runs compare "
+                 "by\nfail-kind class, not the host-dependent detail text).",
+        .flags = {
+            {.name = "--format", .meta = "md|html", .to = &a.format,
+             .help = "report output format (default: md)"},
+            {.name = "--out", .meta = "PATH", .to = &a.outPath,
+             .help = "write the report to PATH (default: stdout)"},
+            {.name = "--top", .meta = "N", .to = &a.top, .max = SIZE_MAX,
+             .help = "cap the open-ended tables (hot edges, per-PC "
+                     "detail) at N rows, 0 = unlimited (default: 20)"},
+            {.name = "--diff", .to = &a.diff,
+             .help = "compare two files instead of rendering"},
+            {.name = "--depprof", .meta = "FILE", .to = &a.depprofPath,
+             .help = "render a .depprof.jsonl dependence profile "
+                     "(exit 2 if it fails validation)"},
+            {.name = "--connect", .meta = "SOCKET", .to = &a.connectPath,
+             .help = "pull the corpus from a running cwsimd instead of a "
+                     "file; may be the CURRENT side of a --diff"},
+            {.name = "--status", .to = &a.status,
+             .help = "with --connect: render a live daemon dashboard "
+                     "(queue, slots, latency, failures) and exit"},
+            cli_version,
+            cli_help,
+        },
+        .operands = &a.inputs,
+    };
 }
 
 } // namespace sweep

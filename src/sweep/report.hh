@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "base/cli.hh"
 #include "harness/harness.hh"
 #include "mdp/dep_profile.hh"
 
@@ -137,6 +138,20 @@ size_t reportFailures(const harness::FailureSummary &summary);
 
 /** Convenience overload: collect from @p runner, then render. */
 size_t reportFailures(const harness::Runner &runner);
+
+/** cwsim-report's command line. */
+struct ReportArgs
+{
+    std::string format = "md"; ///< "md" or "html", checked by the tool.
+    std::string outPath;
+    uint64_t top = 20;
+    bool diff = false, status = false;
+    std::string depprofPath, connectPath;
+    std::vector<std::string> inputs; ///< The JSONL file operands.
+};
+
+/** cwsim-report's flags, bound to @p args. */
+CliSpec reportCli(ReportArgs &args);
 
 } // namespace sweep
 } // namespace cwsim

@@ -95,6 +95,10 @@ fpNames()
 Workload
 build(const std::string &name, uint64_t scale)
 {
+    fatal_if(scale < min_scale,
+             "workload scale %llu is below the minimum of %llu",
+             static_cast<unsigned long long>(scale),
+             static_cast<unsigned long long>(min_scale));
     for (const auto &k : kernel_table) {
         if (name == k.name || name == k.shortName) {
             Workload w;

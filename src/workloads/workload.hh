@@ -50,12 +50,20 @@ namespace workloads
  */
 constexpr uint64_t default_scale = 100'000;
 
+/**
+ * The smallest scale a kernel is built at, and so the floor of every
+ * scale input (the bench and cwsimd --scale, CWSIM_SCALE, a submit's
+ * scale). Far below it kernels do not halt: at scale 5 none of the 18
+ * finishes within 20M instructions.
+ */
+constexpr uint64_t min_scale = 1000;
+
 /** Names of all 18 kernels, SPECint first (paper Table 1 order). */
 const std::vector<std::string> &allNames();
 const std::vector<std::string> &intNames();
 const std::vector<std::string> &fpNames();
 
-/** Build one kernel by full or short name. */
+/** Build one kernel by full or short name; fatal below min_scale. */
 Workload build(const std::string &name,
                uint64_t scale = default_scale);
 

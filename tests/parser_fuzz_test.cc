@@ -1,14 +1,17 @@
 /**
  * @file
- * A seeded, deterministic mutation fuzzer for four readers: the
- * config text parser, the run-record parser, the dependence-profile
- * loader and the assembler. Each is fed mutants of committed inputs —
- * byte flips, truncations, deleted or duplicated fields and lines, sign
- * and digit edits — and must reject what it cannot read through its
- * normal path: a false return, or a SimError under a ScopedErrorTrap
- * for the config parser and the assembler. A crash or a hang fails the
- * test binary; any other exception fails the test. Run records the
- * parser accepts must also survive a write-and-parse round trip
+ * A seeded, deterministic mutation fuzzer for the readers of outside
+ * input: the config text parser, the run-record parser, the
+ * dependence-profile loader, the assembler, the four command lines
+ * and the daemon's submit decoder. Each is fed mutants of real inputs
+ * — byte flips, truncations, deleted or duplicated fields and lines,
+ * sign and digit edits, and for argv dropped, repeated, joined or
+ * split arguments — and must reject what it cannot read through its
+ * normal path: a false return or an error string, or a SimError of
+ * kind Fatal under a ScopedErrorTrap for the config parser, the
+ * assembler and the benches' command line. A crash or a hang fails
+ * the test binary; any other exception fails the test. Run records
+ * the parser accepts must also survive a write-and-parse round trip
  * unchanged.
  */
 
@@ -17,6 +20,7 @@
 #include <algorithm>
 #include <fstream>
 
+#include "base/cli.hh"
 #include "base/jsonl.hh"
 #include "base/random.hh"
 #include "base/sim_error.hh"
@@ -25,6 +29,11 @@
 #include "mdp/dep_profile.hh"
 #include "sim/config.hh"
 #include "sim/config_parse.hh"
+#include "svc/client.hh"
+#include "svc/server.hh"
+#include "svc/spec.hh"
+#include "sweep/bench_cli.hh"
+#include "sweep/report.hh"
 #include "sweep/run_cache.hh"
 
 namespace cwsim
@@ -297,6 +306,244 @@ TEST(ParserFuzz, AssemblerRejectsThroughFatal)
                 << e.message() << ":\n" << text;
         } catch (const std::exception &e) {
             ADD_FAILURE() << "escaped as " << e.what() << ":\n" << text;
+        }
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+/** Options for every program, for its flag table to bind to. */
+struct CommandLines
+{
+    sweep::BenchOptions bench;
+    svc::ServerOptions daemon;
+    svc::ClientArgs client;
+    sweep::ReportArgs report;
+};
+
+struct Program
+{
+    const char *name;
+    CliSpec (*table)(CommandLines &);
+    std::vector<std::vector<std::string>> seeds;
+};
+
+/** Argument values the parsers treat specially, or should refuse. */
+const char *const edge_args[] = {
+    "", "-", "--", "=", "-1", "+4", " 7", "0", "999", "4294967296",
+    "99999999999999999999", "1e300", "inf", "nan", "0x10", "2.5",
+    "--help", "-h", "--version"};
+
+/** Apply one random edit to the argument list @p args of @p spec. */
+void
+mutateArgs(Random &rng, std::vector<std::string> &args,
+           const CliSpec &spec)
+{
+    if (args.empty())
+        args.push_back(spec.flags[rng.below(spec.flags.size())].name);
+    size_t pos = rng.below(args.size());
+    switch (rng.below(8)) {
+      case 0: // drop an argument
+        args.erase(args.begin() + pos);
+        break;
+      case 1: // repeat one
+        args.insert(args.begin() + pos, args[pos]);
+        break;
+      case 2: // swap two
+        std::swap(args[pos], args[rng.below(args.size())]);
+        break;
+      case 3: { // insert one of the table's names
+        const CliFlag &f = spec.flags[rng.below(spec.flags.size())];
+        args.insert(args.begin() + rng.below(args.size() + 1),
+                    f.alias && rng.below(2) ? f.alias : f.name);
+        break;
+      }
+      case 4: // join an argument to the next with '='
+        if (pos + 1 < args.size()) {
+            args[pos] += "=" + args[pos + 1];
+            args.erase(args.begin() + pos + 1);
+        }
+        break;
+      case 5: { // split one at its '='
+        size_t eq = args[pos].find('=');
+        if (eq != std::string::npos) {
+            args.insert(args.begin() + pos + 1, args[pos].substr(eq + 1));
+            args[pos].erase(eq);
+        }
+        break;
+      }
+      case 6:
+        args[pos] = edge_args[rng.below(std::size(edge_args))];
+        break;
+      default: // byte-level edit of one argument
+        mutateOnce(rng, args[pos], '=');
+        break;
+    }
+}
+
+TEST(ParserFuzz, CommandLinesRejectThroughTheirErrorPath)
+{
+    // Seeds: the command lines the docs, CI and cwbench use.
+    const std::vector<Program> programs = {
+        {"bench",
+         [](CommandLines &o) { return sweep::benchCli(o.bench); },
+         {{"--jobs", "4", "--scale", "2000", "--filter", "compress",
+           "--json", "out.jsonl", "--no-cache"},
+          {"--trace=MDP,Recovery", "--trace-file", "t.log", "--pipeview",
+           "p.out", "--interval", "500", "--interval-file", "i.jsonl",
+           "--depprof-file=d.jsonl"},
+          {"--isolate", "--timeout", "2.5", "--mem-limit", "4096",
+           "--retries", "3", "--set", "core.windowSize=64",
+           "--set=mdp.policy=SYNC", "--cpi-stack", "-j", "2"},
+          {"--cache-dir", "c", "--cache-fsck", "--depprof"}}},
+        {"cwsimd",
+         [](CommandLines &o) { return svc::daemonCli(o.daemon); },
+         {{"--socket", "d.sock", "--cache-dir", "c", "--jobs", "2",
+           "--quota", "100000", "--max-queued", "100000",
+           "--trace-events", "t.json"},
+          {"--socket=d.sock", "--scale", "4000", "--timeout", "120",
+           "--mem-limit", "4096", "--retries", "2", "--metrics-file",
+           "m.prom", "--metrics-interval", "0.5"}}},
+        {"cwsim-client",
+         [](CommandLines &o) { return svc::clientCli(o.client); },
+         {{"--socket", "d.sock", "--id", "a", "--preset", "fig2",
+           "--scale", "4000", "--quiet", "--json", "a.jsonl"},
+          {"--socket", "d.sock", "--workloads", "int", "--filter", "12",
+           "--config", "mdp.policy=NO", "--config", "mdp.policy=SYNC",
+           "--set", "check.level=1", "--interval", "500",
+           "--interval-file", "i.jsonl"},
+          {"--socket", "d.sock", "--stats"},
+          {"--socket", "d.sock", "--shutdown"}}},
+        {"cwsim-report",
+         [](CommandLines &o) { return sweep::reportCli(o.report); },
+         {{"--format", "html", "--out", "r.html", "--top", "5",
+           "a.jsonl"},
+          {"--diff", "base.jsonl", "cur.jsonl"},
+          {"--connect", "d.sock", "--status"},
+          {"--depprof", "p.depprof.jsonl", "--format=md"}}},
+    };
+
+    Random rng(0xa5c11);
+    for (const Program &prog : programs) {
+        size_t accepted = 0, rejected = 0, requests = 0;
+        for (int i = 0; i < mutations; ++i) {
+            CommandLines opts;
+            const CliSpec spec = prog.table(opts);
+            std::vector<std::string> args =
+                prog.seeds[rng.below(prog.seeds.size())];
+            int edits = 1 + static_cast<int>(rng.below(3));
+            for (int e = 0; e < edits; ++e)
+                mutateArgs(rng, args, spec);
+            std::vector<const char *> argv = {prog.name};
+            for (const std::string &a : args)
+                argv.push_back(a.c_str());
+            const int argc = static_cast<int>(argv.size());
+
+            std::string shown;
+            for (const std::string &a : args)
+                shown += " '" + a + "'";
+            CliRequest request = CliRequest::Run;
+            std::string err;
+            try {
+                if (std::string(prog.name) == "bench") {
+                    // The benches' error path: fatal(), a SimError here.
+                    ScopedErrorTrap trap;
+                    try {
+                        request = parseCliOrFatal(spec, argc, argv.data());
+                    } catch (const SimError &e) {
+                        EXPECT_EQ(e.kind(), SimErrorKind::Fatal)
+                            << e.message() << ":" << shown;
+                        err = e.message();
+                    }
+                } else if (!parseCli(spec, argc, argv.data(), request,
+                                     err)) {
+                    EXPECT_FALSE(err.empty()) << prog.name << shown;
+                }
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << prog.name << " threw " << e.what() << ":"
+                              << shown;
+                continue;
+            }
+            if (!err.empty())
+                ++rejected;
+            else
+                ++(request == CliRequest::Run ? accepted : requests);
+        }
+        EXPECT_GT(accepted, 0u) << prog.name;
+        EXPECT_GT(rejected, 0u) << prog.name;
+        EXPECT_GT(requests, 0u) << prog.name;
+    }
+}
+
+TEST(ParserFuzz, SubmitLinesRejectWithAnErrorString)
+{
+    // Seeds: the submit lines cwsim-client builds for the fig2 preset
+    // and for --config / --set lists with a scale and an interval.
+    std::vector<std::string> seeds;
+    for (std::vector<const char *> argv : std::vector<
+             std::vector<const char *>>{
+             {"--id", "fig2", "--preset", "fig2", "--scale", "4000"},
+             {"--id", "m", "--workloads", "int", "--filter", "12",
+              "--config", "mdp.policy=NO,core.windowSize=64", "--config",
+              "mdp.lsqModel=AS,mdp.policy=NAV", "--set", "check.level=1",
+              "--set", "mdp.recovery=selective", "--scale", "2000",
+              "--interval", "500"},
+             {"--id", "c", "--workloads", "129.compress,126", "--config",
+              "mdp.policy=SYNC;core.windowSize=32"}}) {
+        argv.insert(argv.begin(), {"cwsim-client", "--socket", "d.sock"});
+        svc::ClientArgs args;
+        CliRequest request;
+        std::string err;
+        ASSERT_TRUE(parseCli(svc::clientCli(args),
+                             static_cast<int>(argv.size()), argv.data(),
+                             request, err))
+            << err;
+        seeds.push_back(svc::submitRequest(args));
+        std::map<std::string, std::string> fields;
+        svc::SweepSpec spec;
+        ASSERT_TRUE(parseFlatJson(seeds.back(), fields));
+        ASSERT_TRUE(svc::parseSweepSpec(fields, spec, err)) << err;
+    }
+
+    Random rng(0x5b17);
+    size_t accepted = 0, rejected = 0;
+    for (int i = 0; i < mutations; ++i) {
+        std::string line = seeds[rng.below(seeds.size())];
+        if (i % 2) {
+            line = mutant(rng, line, ',');
+        } else {
+            // Edit one value and re-encode, so the line stays
+            // well-formed and the spec parser sees the edit.
+            std::map<std::string, std::string> fields;
+            ASSERT_TRUE(parseFlatJson(line, fields));
+            auto it = std::next(fields.begin(), rng.below(fields.size()));
+            it->second = mutant(rng, it->second, i % 4 ? ',' : ';');
+            JsonObject obj;
+            for (const auto &[key, value] : fields)
+                obj.add(key, value);
+            line = obj.str();
+        }
+        try {
+            std::map<std::string, std::string> fields;
+            if (!parseFlatJson(line, fields)) {
+                ++rejected;
+                continue;
+            }
+            svc::SweepSpec spec;
+            std::string err;
+            if (svc::parseSweepSpec(fields, spec, err)) {
+                ++accepted;
+                EXPECT_GT(spec.runCount(), 0u) << line;
+            } else {
+                ++rejected;
+                // A config override is refused by fatal(); a panic would
+                // mean a client's typo reached an internal assertion.
+                EXPECT_FALSE(err.empty()) << line;
+                EXPECT_FALSE(startsWith(err, "panic")) << err << ": "
+                                                       << line;
+            }
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "threw " << e.what() << ":\n" << line;
         }
     }
     EXPECT_GT(accepted, 0u);

@@ -126,6 +126,19 @@ TEST(RegistryTest, UnknownNameDies)
                 ::testing::ExitedWithCode(1), "unknown workload");
 }
 
+TEST(RegistryTest, ScaleBelowTheMinimumDies)
+{
+    // Far below the minimum no kernel halts; every scale input refuses
+    // less, and build() itself is the last line.
+    EXPECT_EXIT(workloads::build("129.compress", workloads::min_scale - 1),
+                ::testing::ExitedWithCode(1),
+                "workload scale 999 is below the minimum of 1000");
+    EXPECT_EXIT(workloads::build("129.compress", 0),
+                ::testing::ExitedWithCode(1), "below the minimum");
+    for (const auto &w : workloads::buildAll(workloads::min_scale))
+        EXPECT_TRUE(runPrepass(w.program).halted) << w.name;
+}
+
 TEST(RegistryTest, PaperMetadataPresent)
 {
     for (const auto &w : workloads::buildAll(5'000)) {

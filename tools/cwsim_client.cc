@@ -12,8 +12,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -25,46 +23,16 @@
 #include "svc/client.hh"
 #include "svc/protocol.hh"
 
+using cwsim::field;
+using cwsim::svc::Client;
+
 namespace
 {
 
-using cwsim::svc::Client;
-using cwsim::JsonObject;
-
 int
-usage(const char *argv0, std::FILE *out)
+fail(const std::string &msg)
 {
-    std::fprintf(
-        out,
-        "usage: %s --socket PATH [options]\n"
-        "\n"
-        "  --socket PATH     connect to a cwsimd Unix socket\n"
-        "  --id S            sweep identifier (default: sweep)\n"
-        "  --preset P        named plan (fig2)\n"
-        "  --workloads W     all | int | fp | comma-separated names\n"
-        "  --filter SUB      only workloads whose name contains SUB\n"
-        "  --scale N         dynamic-instruction target\n"
-        "  --config OPTS     one config as comma-separated key=value\n"
-        "                    overrides; repeat for more configs\n"
-        "  --set K=V         apply an override to every config\n"
-        "                    (repeatable)\n"
-        "  --interval N      stream interval samples every N cycles\n"
-        "  --interval-file P write streamed samples to P\n"
-        "  --json PATH       append one JSONL record per run to PATH\n"
-        "  --stats           print server stats and exit\n"
-        "  --shutdown        ask the server to drain and exit\n"
-        "  --quiet           no per-run progress lines\n"
-        "  --version         print schema/protocol/build identity\n"
-        "  --help            this message\n",
-        argv0);
-    return out == stdout ? 0 : 2;
-}
-
-std::string
-field(const std::map<std::string, std::string> &ev, const char *key)
-{
-    auto it = ev.find(key);
-    return it == ev.end() ? std::string() : it->second;
+    return cwsim::svc::toolError("cwsim-client", msg);
 }
 
 } // anonymous namespace
@@ -72,90 +40,26 @@ field(const std::map<std::string, std::string> &ev, const char *key)
 int
 main(int argc, char **argv)
 {
-    std::string socketPath, id = "sweep";
-    std::string preset, workloads, filter, scale, interval;
-    std::string jsonPath, intervalPath;
-    std::vector<std::string> configs, sets;
-    bool statsOnly = false, shutdown = false, quiet = false;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "cwsim-client: %s requires a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h")
-            return usage(argv[0], stdout);
-        else if (arg == "--version") {
-            std::printf(
-                "%s\n",
-                cwsim::svc::versionLine("cwsim-client").c_str());
-            return 0;
-        } else if (arg == "--socket")
-            socketPath = value("--socket");
-        else if (arg == "--id")
-            id = value("--id");
-        else if (arg == "--preset")
-            preset = value("--preset");
-        else if (arg == "--workloads")
-            workloads = value("--workloads");
-        else if (arg == "--filter")
-            filter = value("--filter");
-        else if (arg == "--scale")
-            scale = value("--scale");
-        else if (arg == "--config")
-            configs.push_back(value("--config"));
-        else if (arg == "--set")
-            sets.push_back(value("--set"));
-        else if (arg == "--interval")
-            interval = value("--interval");
-        else if (arg == "--interval-file")
-            intervalPath = value("--interval-file");
-        else if (arg == "--json")
-            jsonPath = value("--json");
-        else if (arg == "--stats")
-            statsOnly = true;
-        else if (arg == "--shutdown")
-            shutdown = true;
-        else if (arg == "--quiet")
-            quiet = true;
-        else {
-            std::fprintf(stderr, "cwsim-client: unknown flag '%s'\n",
-                         arg.c_str());
-            return usage(argv[0], stderr);
-        }
-    }
+    cwsim::svc::ClientArgs args;
+    cwsim::svc::parseToolArgs(cwsim::svc::clientCli(args), argc, argv,
+                              "cwsim-client");
 
     Client client;
     std::string err;
-    if (socketPath.empty())
-        return usage(argv[0], stderr);
-    if (!client.connectUnix(socketPath, &err)) {
-        std::fprintf(stderr, "cwsim-client: %s\n", err.c_str());
-        return 2;
-    }
+    if (!client.connectUnix(args.socketPath, &err))
+        return fail(err);
 
     std::map<std::string, std::string> ev;
-    if (statsOnly) {
+    if (args.stats) {
         if (!client.sendLine("{\"cmd\":\"stats\"}", &err) ||
-            !client.nextEvent(ev, &err)) {
-            std::fprintf(stderr, "cwsim-client: %s\n",
-                         err.empty() ? "server closed" : err.c_str());
-            return 2;
-        }
+            !client.nextEvent(ev, &err))
+            return fail(err.empty() ? "server closed" : err);
         std::printf("%s\n", client.lastLine().c_str());
         return 0;
     }
-    if (shutdown) {
-        if (!client.sendLine("{\"cmd\":\"shutdown\"}", &err)) {
-            std::fprintf(stderr, "cwsim-client: %s\n", err.c_str());
-            return 2;
-        }
+    if (args.shutdown) {
+        if (!client.sendLine("{\"cmd\":\"shutdown\"}", &err))
+            return fail(err);
         // The final shutdown event arrives once the drain completes;
         // an EOF means the server left without it, which is still a
         // completed shutdown from where we stand.
@@ -166,75 +70,33 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Assemble and send the submit request.
-    JsonObject req;
-    req.add("cmd", "submit").add("id", id);
-    if (!preset.empty())
-        req.add("preset", preset);
-    if (!workloads.empty())
-        req.add("workloads", workloads);
-    if (!filter.empty())
-        req.add("filter", filter);
-    if (!scale.empty())
-        req.add("scale", scale);
-    if (!configs.empty()) {
-        std::string joined;
-        for (const std::string &c : configs) {
-            if (!joined.empty())
-                joined += ';';
-            joined += c;
-        }
-        req.add("configs", joined);
-    }
-    if (!sets.empty()) {
-        std::string joined;
-        for (const std::string &kv : sets) {
-            if (!joined.empty())
-                joined += ',';
-            joined += kv;
-        }
-        req.add("set", joined);
-    }
-    if (!interval.empty())
-        req.add("interval", interval);
-    if (!client.sendLine(req.str(), &err)) {
-        std::fprintf(stderr, "cwsim-client: %s\n", err.c_str());
-        return 2;
-    }
+    if (!client.sendLine(cwsim::svc::submitRequest(args), &err))
+        return fail(err);
 
     // Stream events until the sweep is done. Run records are
     // re-exported to --json in seq order — the same spec order the
     // bench CLI writes — once all have arrived.
     std::vector<std::string> records;
     std::ofstream intervalOut;
-    if (!intervalPath.empty()) {
-        intervalOut.open(intervalPath, std::ios::app);
-        if (!intervalOut) {
-            std::fprintf(stderr, "cwsim-client: cannot write %s\n",
-                         intervalPath.c_str());
-            return 2;
-        }
+    if (!args.intervalPath.empty()) {
+        intervalOut.open(args.intervalPath, std::ios::app);
+        if (!intervalOut)
+            return fail("cannot write " + args.intervalPath);
     }
     uint64_t failed = 0, injected = 0, runs = 0;
     bool done = false;
     while (!done) {
-        if (!client.nextEvent(ev, &err)) {
-            std::fprintf(stderr, "cwsim-client: %s\n",
-                         err.empty() ? "server closed mid-sweep"
-                                     : err.c_str());
-            return 2;
-        }
+        if (!client.nextEvent(ev, &err))
+            return fail(err.empty() ? "server closed mid-sweep" : err);
         std::string kind = field(ev, "ev");
         if (kind == "rejected") {
             std::fprintf(stderr, "cwsim-client: rejected: %s\n",
                          field(ev, "reason").c_str());
             return 1;
         } else if (kind == "error") {
-            std::fprintf(stderr, "cwsim-client: server error: %s\n",
-                         field(ev, "reason").c_str());
-            return 2;
+            return fail("server error: " + field(ev, "reason"));
         } else if (kind == "accepted") {
-            if (!quiet) {
+            if (!args.quiet) {
                 std::fprintf(stderr,
                              "sweep %s accepted: %s run(s) — %s "
                              "cached, %s deduped, %s queued\n",
@@ -259,7 +121,7 @@ main(int argc, char **argv)
                     records.resize(seq + 1);
                 records[seq] =
                     cwsim::sweep::runRecordLine(r, fp, recScale);
-                if (!quiet) {
+                if (!args.quiet) {
                     std::fprintf(
                         stderr, "run %llu/%s %s %s%s%s\n",
                         static_cast<unsigned long long>(seq + 1),
@@ -271,9 +133,7 @@ main(int argc, char **argv)
                              : (" FAILED: " + r.failLabel()).c_str());
                 }
             } else {
-                std::fprintf(stderr,
-                             "cwsim-client: unparseable run event\n");
-                return 2;
+                return fail("unparseable run event");
             }
         } else if (kind == "interval") {
             if (intervalOut.is_open())
@@ -281,39 +141,30 @@ main(int argc, char **argv)
         } else if (kind == "done") {
             if (!cwsim::parseUnsigned(field(ev, "runs"), runs) ||
                 !cwsim::parseUnsigned(field(ev, "failed"), failed) ||
-                !cwsim::parseUnsigned(field(ev, "injected"),
-                                      injected)) {
-                std::fprintf(stderr,
-                             "cwsim-client: unparseable done event\n");
-                return 2;
-            }
+                !cwsim::parseUnsigned(field(ev, "injected"), injected))
+                return fail("unparseable done event");
             done = true;
         } else if (kind == "shutdown") {
-            std::fprintf(stderr,
-                         "cwsim-client: server drained mid-sweep\n");
-            return 2;
+            return fail("server drained mid-sweep");
         }
         // pong/stats/hello events are ignorable here.
     }
 
-    if (!jsonPath.empty()) {
-        std::ofstream out(jsonPath, std::ios::app);
-        if (!out) {
-            std::fprintf(stderr, "cwsim-client: cannot write %s\n",
-                         jsonPath.c_str());
-            return 2;
-        }
+    if (!args.jsonPath.empty()) {
+        std::ofstream out(args.jsonPath, std::ios::app);
+        if (!out)
+            return fail("cannot write " + args.jsonPath);
         for (const std::string &line : records) {
             if (!line.empty())
                 out << line << '\n';
         }
     }
 
-    if (!quiet) {
+    if (!args.quiet) {
         std::fprintf(stderr,
                      "sweep %s done: %llu run(s), %llu failed, %llu "
                      "injected\n",
-                     id.c_str(),
+                     args.id.c_str(),
                      static_cast<unsigned long long>(runs),
                      static_cast<unsigned long long>(failed),
                      static_cast<unsigned long long>(injected));

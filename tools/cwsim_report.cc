@@ -15,12 +15,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "base/jsonl.hh"
 #include "base/str.hh"
 #include "mdp/dep_profile.hh"
 #include "svc/client.hh"
@@ -32,41 +32,9 @@ namespace
 {
 
 int
-usage(const char *argv0)
+fail(const std::string &msg)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [--format md|html] [--out PATH] [--top N] "
-        "SWEEP.jsonl\n"
-        "       %s --diff BASELINE.jsonl CURRENT.jsonl\n"
-        "       %s --connect SOCKET [--format md|html] [--out PATH]\n"
-        "       %s --connect SOCKET --status\n"
-        "       %s --depprof PROFILE.depprof.jsonl [--format md|html]\n"
-        "\n"
-        "Render a cwsim sweep JSONL file as a report, or compare two\n"
-        "sweep files and flag any drift in simulated stats\n"
-        "(host-profiling fields are ignored; failed runs compare by\n"
-        "fail-kind class, not the host-dependent detail text).\n"
-        "\n"
-        "  --format md|html  report output format (default: md)\n"
-        "  --out PATH        write the report to PATH (default: stdout)\n"
-        "  --top N           cap the open-ended tables (hot edges,\n"
-        "                    per-PC detail) at N rows, 0 = unlimited\n"
-        "                    (default: 20)\n"
-        "  --diff            compare two files instead of rendering\n"
-        "  --depprof FILE    render a .depprof.jsonl dependence\n"
-        "                    profile (validates it first; exit 2 on\n"
-        "                    validation errors)\n"
-        "  --connect SOCKET  pull the corpus from a running cwsimd\n"
-        "                    (Unix socket) instead of a file; may also\n"
-        "                    be the CURRENT side of a --diff\n"
-        "  --status          with --connect: render a live daemon\n"
-        "                    dashboard (uptime, queue, slots, latency\n"
-        "                    quantiles, failure counts) and exit\n"
-        "  --version         print schema/protocol/build identity\n"
-        "  --help            show this message\n",
-        argv0, argv0, argv0, argv0, argv0);
-    return 2;
+    return cwsim::svc::toolError("cwsim-report", msg);
 }
 
 /** A stats-event field as a double; NaN-tolerant ("nan" quantiles of
@@ -90,6 +58,21 @@ fmtMs(double ms)
     return cwsim::strfmt("%.0fms", ms);
 }
 
+/** Write @p text to @p outPath, or stdout when it is empty; exit code. */
+int
+writeOut(const std::string &text, const std::string &outPath)
+{
+    if (outPath.empty()) {
+        std::fputs(text.c_str(), stdout);
+        return 0;
+    }
+    std::ofstream out(outPath);
+    if (!out)
+        return fail("cannot write " + outPath);
+    out << text;
+    return 0;
+}
+
 /**
  * The live dashboard behind --connect --status: one stats round-trip
  * rendered as markdown. Everything shown but the draining flag comes
@@ -101,17 +84,12 @@ renderStatus(const std::string &socketPath, const std::string &outPath)
 {
     cwsim::svc::Client client;
     std::string err;
-    if (!client.connectUnix(socketPath, &err)) {
-        std::fprintf(stderr, "cwsim-report: %s\n", err.c_str());
-        return 2;
-    }
+    if (!client.connectUnix(socketPath, &err))
+        return fail(err);
     std::map<std::string, std::string> ev;
     if (!client.sendLine("{\"cmd\":\"stats\"}", &err) ||
-        !client.nextEvent(ev, &err)) {
-        std::fprintf(stderr, "cwsim-report: %s\n",
-                     err.empty() ? "server closed" : err.c_str());
-        return 2;
-    }
+        !client.nextEvent(ev, &err))
+        return fail(err.empty() ? "server closed" : err);
 
     double uptimeMs = statNum(ev, "cwsimd_uptime_ms");
     double slots = statNum(ev, "cwsim_pool_slots");
@@ -177,18 +155,7 @@ renderStatus(const std::string &socketPath, const std::string &outPath)
                         .c_str()));
     }
 
-    if (outPath.empty()) {
-        std::fputs(md.c_str(), stdout);
-    } else {
-        std::ofstream out(outPath);
-        if (!out) {
-            std::fprintf(stderr, "cwsim-report: cannot write %s\n",
-                         outPath.c_str());
-            return 2;
-        }
-        out << md;
-    }
-    return 0;
+    return writeOut(md, outPath);
 }
 
 bool
@@ -244,19 +211,15 @@ fetchCorpus(const std::string &socketPath,
                                      : err.c_str());
             return false;
         }
-        auto kind = ev.find("ev");
-        if (kind == ev.end())
-            continue;
-        if (kind->second == "corpus_done")
+        std::string kind = cwsim::field(ev, "ev");
+        if (kind == "corpus_done")
             break;
-        if (kind->second == "error") {
-            auto reason = ev.find("reason");
+        if (kind == "error") {
             std::fprintf(stderr, "cwsim-report: server error: %s\n",
-                         reason == ev.end() ? "?"
-                                            : reason->second.c_str());
+                         cwsim::field(ev, "reason").c_str());
             return false;
         }
-        if (kind->second != "corpus_record")
+        if (kind != "corpus_record")
             continue;
         cwsim::sweep::ReportRecord rec;
         uint64_t fp = 0;
@@ -288,160 +251,83 @@ fetchCorpus(const std::string &socketPath,
 int
 main(int argc, char **argv)
 {
-    bool diff = false, status = false;
+    cwsim::sweep::ReportArgs args;
+    cwsim::svc::parseToolArgs(cwsim::sweep::reportCli(args), argc, argv,
+                              "cwsim-report");
     cwsim::sweep::ReportFormat format =
         cwsim::sweep::ReportFormat::Markdown;
-    std::string out_path, connect_path, depprof_path;
-    size_t top = 20;
-    std::vector<std::string> inputs;
+    if (args.format == "html")
+        format = cwsim::sweep::ReportFormat::Html;
+    else if (args.format != "md")
+        return fail("unknown format '" + args.format + "'");
+    size_t top = static_cast<size_t>(args.top);
+    bool connect = !args.connectPath.empty();
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
-            usage(argv[0]);
-            return 0;
-        } else if (std::strcmp(arg, "--version") == 0) {
-            std::printf(
-                "%s\n",
-                cwsim::svc::versionLine("cwsim-report").c_str());
-            return 0;
-        } else if (std::strcmp(arg, "--diff") == 0) {
-            diff = true;
-        } else if (std::strcmp(arg, "--status") == 0) {
-            status = true;
-        } else if (std::strcmp(arg, "--format") == 0 && i + 1 < argc) {
-            std::string value = argv[++i];
-            if (value == "md") {
-                format = cwsim::sweep::ReportFormat::Markdown;
-            } else if (value == "html") {
-                format = cwsim::sweep::ReportFormat::Html;
-            } else {
-                std::fprintf(stderr,
-                             "cwsim-report: unknown format '%s'\n",
-                             value.c_str());
-                return usage(argv[0]);
-            }
-        } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(arg, "--top") == 0 && i + 1 < argc) {
-            const char *value = argv[++i];
-            uint64_t parsed = 0;
-            if (!cwsim::parseUnsigned(value, parsed, 10, SIZE_MAX)) {
-                std::fprintf(stderr,
-                             "cwsim-report: --top wants a number, "
-                             "got '%s'\n", value);
-                return usage(argv[0]);
-            }
-            top = static_cast<size_t>(parsed);
-        } else if (std::strcmp(arg, "--depprof") == 0 &&
-                   i + 1 < argc) {
-            depprof_path = argv[++i];
-        } else if (std::strcmp(arg, "--connect") == 0 &&
-                   i + 1 < argc) {
-            connect_path = argv[++i];
-        } else if (arg[0] == '-' && arg[1] != '\0') {
-            std::fprintf(stderr, "cwsim-report: unknown flag '%s'\n",
-                         arg);
-            return usage(argv[0]);
-        } else {
-            inputs.push_back(arg);
-        }
-    }
-
-    if (!depprof_path.empty()) {
-        if (diff || status || !connect_path.empty() ||
-            !inputs.empty()) {
-            std::fprintf(stderr,
-                         "cwsim-report: --depprof wants a profile "
-                         "file and nothing else\n");
-            return usage(argv[0]);
+    if (!args.depprofPath.empty()) {
+        if (args.diff || args.status || connect || !args.inputs.empty()) {
+            return fail("--depprof wants a profile file and "
+                              "nothing else");
         }
         cwsim::mdp::DepProfileFile profile;
         std::string err;
-        if (!profile.load(depprof_path, &err) &&
+        if (!profile.load(args.depprofPath, &err) &&
             profile.errors().empty()) {
-            // The file itself could not be read.
-            std::fprintf(stderr, "cwsim-report: %s\n", err.c_str());
-            return 2;
+            return fail(err); // the file itself could not be read
         }
         if (!profile.valid()) {
             for (const std::string &e : profile.errors())
                 std::fprintf(stderr, "cwsim-report: %s: %s\n",
-                             depprof_path.c_str(), e.c_str());
+                             args.depprofPath.c_str(), e.c_str());
             std::fprintf(stderr,
                          "cwsim-report: %s failed validation (%zu "
                          "error(s); %zu run block(s) salvaged)\n",
-                         depprof_path.c_str(), profile.errors().size(),
-                         profile.runs().size());
+                         args.depprofPath.c_str(),
+                         profile.errors().size(), profile.runs().size());
             return 2;
         }
-        std::string report =
-            cwsim::sweep::renderDepProfile(profile, format, top);
-        if (out_path.empty()) {
-            std::fputs(report.c_str(), stdout);
-        } else {
-            std::ofstream out(out_path);
-            if (!out) {
-                std::fprintf(stderr, "cwsim-report: cannot write %s\n",
-                             out_path.c_str());
-                return 2;
-            }
-            out << report;
-        }
-        return 0;
+        return writeOut(
+            cwsim::sweep::renderDepProfile(profile, format, top),
+            args.outPath);
     }
 
-    if (status) {
-        if (connect_path.empty() || diff || !inputs.empty()) {
-            std::fprintf(stderr,
-                         "cwsim-report: --status wants --connect "
-                         "SOCKET and nothing else\n");
-            return usage(argv[0]);
+    if (args.status) {
+        if (!connect || args.diff || !args.inputs.empty()) {
+            return fail("--status wants --connect SOCKET and "
+                              "nothing else");
         }
-        return renderStatus(connect_path, out_path);
+        return renderStatus(args.connectPath, args.outPath);
     }
 
-    if (diff) {
+    if (args.diff) {
         // With --connect the daemon's corpus is the CURRENT side and
         // the single positional file is the baseline.
-        if (inputs.size() != (connect_path.empty() ? 2u : 1u))
-            return usage(argv[0]);
+        if (args.inputs.size() != (connect ? 1u : 2u)) {
+            return fail("--diff wants BASELINE.jsonl and "
+                              "CURRENT.jsonl (only BASELINE with "
+                              "--connect)");
+        }
         std::vector<cwsim::sweep::ReportRecord> baseline, current;
-        if (!load(inputs[0], baseline))
+        if (!load(args.inputs[0], baseline))
             return 2;
-        if (connect_path.empty() ? !load(inputs[1], current)
-                                 : !fetchCorpus(connect_path, current))
+        if (connect ? !fetchCorpus(args.connectPath, current)
+                    : !load(args.inputs[1], current))
             return 2;
         cwsim::sweep::DiffResult result =
             cwsim::sweep::diffRunRecords(baseline, current);
-        if (!result.error.empty()) {
-            std::fprintf(stderr, "cwsim-report: %s\n",
-                         result.error.c_str());
-            return 2;
-        }
+        if (!result.error.empty())
+            return fail(result.error);
         std::fputs(cwsim::sweep::formatDiff(result).c_str(), stdout);
         return result.clean() ? 0 : 1;
     }
 
-    if (inputs.size() != (connect_path.empty() ? 1u : 0u))
-        return usage(argv[0]);
-    std::vector<cwsim::sweep::ReportRecord> records;
-    if (connect_path.empty() ? !load(inputs[0], records)
-                             : !fetchCorpus(connect_path, records))
-        return 2;
-    std::string report =
-        cwsim::sweep::renderReport(records, format, top);
-    if (out_path.empty()) {
-        std::fputs(report.c_str(), stdout);
-    } else {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::fprintf(stderr, "cwsim-report: cannot write %s\n",
-                         out_path.c_str());
-            return 2;
-        }
-        out << report;
+    if (args.inputs.size() != (connect ? 0u : 1u)) {
+        return fail("a report wants one SWEEP.jsonl file (none "
+                          "with --connect)");
     }
-    return 0;
+    std::vector<cwsim::sweep::ReportRecord> records;
+    if (connect ? !fetchCorpus(args.connectPath, records)
+                : !load(args.inputs[0], records))
+        return 2;
+    return writeOut(cwsim::sweep::renderReport(records, format, top),
+                    args.outPath);
 }
