@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the simulator's hot structures:
  * MDPT lookup/training, branch predictor lookups, cache accesses, the
- * event queue, functional memory, and instruction decode. These guard
+ * event queue, functional memory, instruction decode, store-buffer
+ * forwarding and the oracle's dependence lookup. These guard
  * the simulator's own performance (host-side), not the modelled
  * machine.
  */
@@ -11,9 +12,11 @@
 
 #include "base/random.hh"
 #include "bpred/bpred.hh"
+#include "cpu/store_buffer.hh"
 #include "isa/builder.hh"
 #include "isa/static_inst.hh"
 #include "mdp/mdp_table.hh"
+#include "mdp/oracle.hh"
 #include "mem/functional_memory.hh"
 #include "mem/timing_cache.hh"
 #include "sim/config.hh"
@@ -168,6 +171,60 @@ BM_DecodeInstruction(benchmark::State &state)
         benchmark::DoNotOptimize(StaticInst::decode(word));
 }
 BENCHMARK(BM_DecodeInstruction);
+
+void
+BM_StoreBufferForward(benchmark::State &state)
+{
+    // state.range(0) executed 8-byte stores, 64 bytes apart; per
+    // iteration one load no store overlaps and one that forwards from
+    // the oldest store, so its search walks every entry.
+    const size_t n = static_cast<size_t>(state.range(0));
+    StoreBuffer sb(n);
+    for (size_t i = 0; i < n; ++i) {
+        SbEntry e;
+        e.seq = i + 1;
+        e.traceIdx = i;
+        e.size = 8;
+        size_t slot = sb.allocate(e);
+        sb.postAddr(slot, 0x10000 + 64 * i, 0, 0);
+        sb.postData(slot, i);
+        sb.setExecuted(slot, 0);
+    }
+    for (auto _ : state) {
+        uint64_t value = 0;
+        InstSeqNum sources[8] = {};
+        benchmark::DoNotOptimize(
+            sb.forward(0x10000 + 16, 8, n + 1, value, sources));
+        benchmark::DoNotOptimize(
+            sb.forward(0x10000, 8, n + 1, value, sources));
+        benchmark::DoNotOptimize(value);
+    }
+}
+BENCHMARK(BM_StoreBufferForward)->Arg(16)->Arg(64);
+
+void
+BM_OracleLookup(benchmark::State &state)
+{
+    // Dispatch's lookup, in trace order: a load with a producing store
+    // at about one trace index in twelve, over a million indices.
+    constexpr TraceIndex n = 1 << 20;
+    OracleDeps deps;
+    Random rng(6);
+    for (TraceIndex idx = 0; idx < n; ++idx) {
+        if (rng.below(12) == 0) {
+            OracleDeps::ProducerSet set;
+            set.stores[0] = idx / 2;
+            set.count = 1;
+            deps.record(idx, set);
+        }
+    }
+    TraceIndex idx = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(deps.producersOf(idx));
+        idx = (idx + 1) & (n - 1);
+    }
+}
+BENCHMARK(BM_OracleLookup);
 
 } // anonymous namespace
 

@@ -96,6 +96,10 @@ parseCli(const CliSpec &spec, int argc, const char *const *argv,
             return true;
         }
         if (auto on = std::get_if<bool *>(&f->to)) {
+            if (eq != arg.npos) {
+                err = strfmt("%s takes no value", f->name);
+                return false;
+            }
             **on = f->sets;
         } else if (eq == arg.npos && i + 1 >= argc) {
             err = strfmt("%s requires a value", f->name);

@@ -5,8 +5,9 @@
  * walks argv against the rows, and the same rows give --help
  * (cliHelp), the numeric bounds, the environment defaults and the
  * error messages. Value flags take "--flag value" and "--flag=value";
- * a count is parseUnsigned() digits within its row's bounds, a
- * duration parseSeconds(). A malformed argument yields an error
+ * a switch takes no value, and "--switch=value" is refused. A count
+ * is parseUnsigned() digits within its row's bounds, a duration
+ * parseSeconds(). A malformed argument yields an error
  * string, and each program picks its error path: fatal() for the
  * benches (parseCliOrFatal), "prog: message" and exit 2 for the tools
  * (svc::parseToolArgs). --help and --version end the walk as a

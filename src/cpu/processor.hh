@@ -314,13 +314,12 @@ class Processor
     void resetForReplay(DynInst &inst);
 
     /**
-     * Byte-wise load assembly from the store buffer + memory. When
-     * @p byte_sources is non-null it receives, per byte, the seq of
-     * the forwarding store (0 = memory); must hold @p size elements.
+     * The value a load of [addr, addr+size) sequenced at @p load_seq
+     * reads now: each byte from the youngest older store with data
+     * covering it, else from architectural memory.
      */
     uint64_t assembleLoadBytes(Addr addr, unsigned size,
-                               InstSeqNum load_seq,
-                               InstSeqNum *byte_sources) const;
+                               InstSeqNum load_seq) const;
 
     void noteFalseDepStall(DynInst &inst);
     void finishFalseDepStall(DynInst &inst);

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "base/addr_range.hh"
+#include "base/bitfield.hh"
 #include "base/logging.hh"
 #include "cpu/processor.hh"
 #include "isa/exec_fn.hh"
@@ -320,46 +321,50 @@ Processor::oracleProducerPending(const DynInst &load) const
 // Load execution.
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/**
+ * Architectural memory's bytes of [addr, addr+size), those set in
+ * @p forwarded (bit i = byte i) zeroed; no read when all are set.
+ */
+uint64_t
+memoryBytes(const FunctionalMemory &mem, Addr addr, unsigned size,
+            unsigned forwarded)
+{
+    if (forwarded == (1u << size) - 1)
+        return 0;
+    return mem.read(addr, size) & ~byteMask(forwarded);
+}
+
+} // anonymous namespace
+
 uint64_t
 Processor::assembleLoadBytes(Addr addr, unsigned size,
-                             InstSeqNum load_seq,
-                             InstSeqNum *byte_sources) const
+                             InstSeqNum load_seq) const
 {
     // Per byte: the youngest older store with valid data covering it,
-    // else architectural memory. When the caller passes
-    // @p byte_sources (size elements), each byte's forwarding store
-    // seq is recorded (0 = memory) — the violation checks test
-    // staleness byte-wise against these.
+    // else architectural memory.
     uint64_t value = 0;
-    unsigned forwarded =
-        sb.forward(addr, size, load_seq, value, byte_sources);
-    for (unsigned i = 0; i < size; ++i) {
-        if (forwarded >> i & 1)
-            continue;
-        value |= static_cast<uint64_t>(funcMem.read8(addr + i))
-                 << (8 * i);
-        if (byte_sources)
-            byte_sources[i] = 0;
-    }
-    return value;
+    unsigned forwarded = sb.forward(addr, size, load_seq, value, nullptr);
+    return value | memoryBytes(funcMem, addr, size, forwarded);
 }
 
 void
 Processor::executeLoad(DynInst &inst)
 {
-    // Sample memory at access time: stores executing later than this
-    // point are exactly the ones that can violate the load.
+    // Sample the store buffer at access time: stores executing later
+    // than this point are exactly the ones that can violate the load.
+    // Each forwarded byte's store seq goes to sources (0 = memory).
     InstSeqNum sources[8] = {};
-    uint64_t raw = assembleLoadBytes(inst.effAddr, inst.memSize,
-                                     inst.seq, sources);
-    InstSeqNum source = 0;
-    bool all_forwarded = true;
-    for (unsigned i = 0; i < inst.memSize; ++i) {
-        source = std::max(source, sources[i]);
-        all_forwarded = all_forwarded && sources[i] != 0;
-    }
+    uint64_t raw = 0;
+    unsigned forwarded =
+        sb.forward(inst.effAddr, inst.memSize, inst.seq, raw, sources);
+    bool all_forwarded = forwarded == (1u << inst.memSize) - 1;
 
     // Did the load execute with ambiguous older stores outstanding?
+    // Set on a refused attempt too: O3PipeView prints it for a load
+    // squashed before it issued.
     inst.speculativeLoad = sb.ambiguousOlderThan(inst.seq, cycle);
 
     Cycles as_extra =
@@ -396,6 +401,9 @@ Processor::executeLoad(DynInst &inst)
         }
         if (!accepted)
             return; // bank/MSHR conflict; retry next cycle
+        // The access changed neither the store buffer nor memory, so
+        // reading memory now gives the bytes of the sampling point.
+        raw |= memoryBytes(funcMem, inst.effAddr, inst.memSize, forwarded);
     }
 
     ++inst.epoch;
@@ -403,8 +411,11 @@ Processor::executeLoad(DynInst &inst)
     inst.memIssued = true;
     inst.issuedAt = cycle;
     inst.loadRaw = raw;
-    for (unsigned i = 0; i < inst.memSize; ++i)
+    InstSeqNum source = 0;
+    for (unsigned i = 0; i < inst.memSize; ++i) {
+        source = std::max(source, sources[i]);
         inst.loadByteSource[i] = sources[i];
+    }
     inst.result = exec::loadExtend(inst.si, raw);
     // Issued: completion arrives through the event queue; violation
     // checks reach the load through issuedLoads, not the issue walk.
@@ -608,8 +619,8 @@ Processor::checkViolations(const DynInst &store)
             // different value than the store writes, and propagated
             // it. Until a consumer has used the stale value the load
             // silently re-executes.
-            uint64_t correct = assembleLoadBytes(
-                load.effAddr, load.memSize, load.seq, nullptr);
+            uint64_t correct =
+                assembleLoadBytes(load.effAddr, load.memSize, load.seq);
             if (correct == load.loadRaw)
                 continue; // same value: speculation was harmless
             if (!anyConsumerIssued(load)) {

@@ -30,6 +30,9 @@ StoreBuffer::allocate(SbEntry entry)
 void
 StoreBuffer::forget(size_t slot_idx)
 {
+    const SbEntry &entry = q.slot(slot_idx);
+    if (entry.addrValid && entry.dataValid)
+        countBlocks(fwdCount, entry.addr, entry.size, -1);
     addrUnposted.clear(slot_idx);
     unexecutedBarriers.clear(slot_idx);
     eraseRef(addrInFlight, slot_idx);
@@ -66,7 +69,9 @@ StoreBuffer::postAddr(size_t slot_idx, Addr addr, Tick visible_at,
     addrUnposted.clear(slot_idx);
     if (visible_at > now)
         addrInFlight.push_back(SlotRef{slot_idx, entry.seq});
-    if (!entry.dataValid)
+    if (entry.dataValid)
+        countBlocks(fwdCount, addr, entry.size, 1); // AS: data came first
+    else
         awaitingData.push_back(SlotRef{slot_idx, entry.seq});
 }
 
@@ -82,6 +87,7 @@ StoreBuffer::postData(size_t slot_idx, uint64_t data)
         // single-phase (NAS) stores, which post address then data in
         // the same cycle.
         eraseRef(awaitingData, slot_idx);
+        countBlocks(fwdCount, entry.addr, entry.size, 1);
     }
 }
 
@@ -100,6 +106,8 @@ void
 StoreBuffer::invalidateForReplay(size_t slot_idx)
 {
     SbEntry &entry = q.slot(slot_idx);
+    if (entry.addrValid && entry.dataValid)
+        countBlocks(fwdCount, entry.addr, entry.size, -1);
     eraseRef(addrInFlight, slot_idx);
     eraseRef(awaitingData, slot_idx);
     entry.addr = invalid_addr;
@@ -166,6 +174,11 @@ unsigned
 StoreBuffer::forward(Addr addr, unsigned size, InstSeqNum before,
                      uint64_t &value, InstSeqNum *sources) const
 {
+    // The filter: no entry with data touches the load's blocks.
+    if (fwdCount[fwdBucket(addr)] == 0 &&
+        fwdCount[fwdBucket(addr + size - 1)] == 0) {
+        return 0;
+    }
     // Youngest first from the youngest entry older than the load, so
     // the first writer a byte meets is its youngest older writer.
     const unsigned all = (1u << size) - 1;
@@ -210,6 +223,7 @@ StoreBuffer::selfCheck(Tick now) const
 {
     size_t n_unposted = 0;
     size_t n_barriers = 0;
+    FwdCounts fwd{};
     for (size_t i = 0; i < q.size(); ++i) {
         const SbEntry &e = q.at(i);
         size_t slot_idx = q.slotOf(e);
@@ -254,6 +268,13 @@ StoreBuffer::selfCheck(Tick now) const
                           static_cast<unsigned long long>(e.seq));
         }
         n_barriers += barrier;
+        if (e.addrValid && e.dataValid)
+            countBlocks(fwd, e.addr, e.size, 1);
+    }
+    for (size_t b = 0; b < fwd_buckets; ++b) {
+        if (fwdCount[b] != fwd[b])
+            return strfmt("forwarding filter bucket %zu counts %u, "
+                          "expected %u", b, fwdCount[b], fwd[b]);
     }
 
     // Bits on slots no entry occupies.

@@ -28,13 +28,19 @@
  *   - slot bitmaps of the stores whose address is still unposted and
  *     of the unexecuted barrier stores, walked in age order for the
  *     oldest (the ambiguity test of the NO/SEL hold and the AS
- *     scheduler; the STORE gate), and
+ *     scheduler; the STORE gate),
  *   - short lists of the stores whose posted address is not yet
  *     visible and of the address-only stores (posted address, data
- *     pending: the AS scheduler's known-true-dependence test).
+ *     pending: the AS scheduler's known-true-dependence test), and
+ *   - a forwarding filter: per hash bucket of 8-byte address blocks,
+ *     a count of the entries holding both an address and data that
+ *     touch a block of the bucket. A load whose blocks all count zero
+ *     has nothing to forward, and forward() returns before its scan
+ *     (a Bloom-filtered LSQ search, as in Sethumadhavan et al.,
+ *     MICRO 2003).
  * Entry fields that feed these (addr/data/executed, and the barrier
- * prediction fixed at allocate) may only be written through the
- * mutating API below; the release flags (committed, releasing,
+ * prediction and size fixed at allocate) may only be written through
+ * the mutating API below; the release flags (committed, releasing,
  * released) may be poked directly via slot(). selfCheck() rebuilds
  * every one from the queue and is run at check level 2.
  */
@@ -42,6 +48,7 @@
 #ifndef CWSIM_CPU_STORE_BUFFER_HH
 #define CWSIM_CPU_STORE_BUFFER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -246,7 +253,9 @@ class StoreBuffer
      * the youngest store older than @p before whose data covers it.
      * ORs the byte into bits [8i, 8i+8) of @p value and, when
      * @p sources is non-null, stores that store's seq in sources[i];
-     * bytes no such store writes are left alone.
+     * bytes no such store writes are left alone. Returns 0 without a
+     * search when the forwarding filter counts no store with data in
+     * any block the load touches.
      * @return a mask with bit i set for each forwarded byte i.
      */
     unsigned forward(Addr addr, unsigned size, InstSeqNum before,
@@ -322,6 +331,29 @@ class StoreBuffer
     void forget(size_t slot_idx);
     static void eraseRef(std::vector<SlotRef> &v, size_t slot_idx);
 
+    // ---- forwarding filter -------------------------------------------
+    /** 8-byte address blocks, hashed into this many buckets. */
+    static constexpr size_t fwd_buckets = 1024;
+    using FwdCounts = std::array<uint32_t, fwd_buckets>;
+
+    static size_t
+    fwdBucket(Addr byte_addr)
+    {
+        return (byte_addr >> 3) & (fwd_buckets - 1);
+    }
+
+    /**
+     * Add @p delta to the buckets of the first and the last byte of
+     * [addr, addr+size): every block an access of at most 8 bytes
+     * touches, with the byte addresses wrapping as forward()'s do.
+     */
+    static void
+    countBlocks(FwdCounts &counts, Addr addr, unsigned size, int delta)
+    {
+        counts[fwdBucket(addr)] += delta;
+        counts[fwdBucket(addr + size - 1)] += delta;
+    }
+
     CircularQueue<SbEntry> q;
 
     /** Entries with no posted address. */
@@ -340,6 +372,13 @@ class StoreBuffer
 
     /** Entries with a posted address awaiting data (AS two-phase). */
     std::vector<SlotRef> awaitingData;
+
+    /**
+     * The forwarding filter: per bucket, two counts per entry with
+     * both address and data (one for its first byte's block, one for
+     * its last's).
+     */
+    FwdCounts fwdCount{};
 };
 
 } // namespace cwsim

@@ -1,6 +1,7 @@
 #include "mdp/oracle.hh"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "isa/opcodes.hh"
 #include "mem/functional_memory.hh"
@@ -71,6 +72,7 @@ runPrepass(const Program &program, const PrepassOptions &opts)
         }
     }
 
+    result.deps.shrinkToFit();
     result.halted = ex.halted();
     result.finalState = ex.state();
     result.memFingerprint = mem.fingerprint();

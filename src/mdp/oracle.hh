@@ -20,10 +20,11 @@
 #define CWSIM_MDP_ORACLE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 #include "isa/executor.hh"
 #include "isa/program.hh"
@@ -31,7 +32,14 @@
 namespace cwsim
 {
 
-/** Per-dynamic-load producing-store information. */
+/**
+ * Per-dynamic-load producing-store information, indexed by trace
+ * index in O(1): one bit per trace index up to the last recorded load
+ * says whether that load has producers, each 64-bit word of bits
+ * carries the number of sets recorded before it (its rank), and the
+ * sets sit in one vector in trace order. A lookup is a bit test and a
+ * popcount.
+ */
 class OracleDeps
 {
   public:
@@ -56,30 +64,64 @@ class OracleDeps
     TraceIndex
     producerOf(TraceIndex load_idx) const
     {
-        auto it = producers.find(load_idx);
-        return it == producers.end()
-                   ? invalid_trace_index
-                   : it->second.stores[it->second.count - 1];
+        const ProducerSet *set = producersOf(load_idx);
+        return set ? set->stores[set->count - 1] : invalid_trace_index;
     }
 
-    /** All distinct byte producers, or nullptr if the load has none. */
+    /**
+     * All distinct byte producers, or nullptr if the load has none.
+     * The pointer stays valid until the next record() or
+     * shrinkToFit().
+     */
     const ProducerSet *
     producersOf(TraceIndex load_idx) const
     {
-        auto it = producers.find(load_idx);
-        return it == producers.end() ? nullptr : &it->second;
+        TraceIndex w = load_idx / 64;
+        if (w >= words.size())
+            return nullptr;
+        const Word &word = words[w];
+        uint64_t bit = uint64_t(1) << (load_idx % 64);
+        if (!(word.bits & bit))
+            return nullptr;
+        return &sets[word.rank + std::popcount(word.bits & (bit - 1))];
     }
 
+    /** Record the set of the load at @p load_idx, past every earlier. */
     void
     record(TraceIndex load_idx, const ProducerSet &set)
     {
-        producers.emplace(load_idx, set);
+        while (words.size() <= load_idx / 64)
+            words.push_back(Word{0, sets.size()});
+        Word &word = words.back();
+        uint64_t bit = uint64_t(1) << (load_idx % 64);
+        panic_if(load_idx / 64 + 1 != words.size() ||
+                     (word.bits & ~(bit - 1)),
+                 "oracle record for trace index %llu out of order",
+                 static_cast<unsigned long long>(load_idx));
+        word.bits |= bit;
+        sets.push_back(set);
     }
 
-    size_t size() const { return producers.size(); }
+    /** Release the spare capacity growth left (the pre-pass's end). */
+    void
+    shrinkToFit()
+    {
+        words.shrink_to_fit();
+        sets.shrink_to_fit();
+    }
+
+    size_t size() const { return sets.size(); }
 
   private:
-    std::unordered_map<TraceIndex, ProducerSet> producers;
+    struct Word
+    {
+        uint64_t bits;
+        /** Sets recorded for trace indices below this word's first. */
+        uint64_t rank;
+    };
+
+    std::vector<Word> words;
+    std::vector<ProducerSet> sets;
 };
 
 /** One committed-path instruction, as the split-window model needs it. */

@@ -159,10 +159,12 @@ clientCli(ClientArgs &a)
 std::string
 submitRequest(const ClientArgs &a)
 {
+    // By position, so an empty part still counts: --config "" is the
+    // default machine wherever it stands.
     auto join = [](const std::vector<std::string> &parts, char sep) {
         std::string out;
-        for (const std::string &p : parts)
-            out += (out.empty() ? "" : std::string(1, sep)) + p;
+        for (size_t i = 0; i < parts.size(); ++i)
+            out += (i ? std::string(1, sep) : "") + parts[i];
         return out;
     };
     JsonObject req;

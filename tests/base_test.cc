@@ -63,6 +63,21 @@ TEST(Bitfield, SignExtend)
     EXPECT_EQ(sext(0x2000000, 26), -33554432);
 }
 
+TEST(Bitfield, ByteMaskSpreadsEachBitToItsByte)
+{
+    // Every mask, against a byte-at-a-time reference: bit 7 takes the
+    // other path, and bits 0 and 7 together are where a plain 8-bit
+    // multiply spread would carry into byte 1.
+    for (unsigned bits = 0; bits < 256; ++bits) {
+        uint64_t want = 0;
+        for (unsigned i = 0; i < 8; ++i) {
+            if (bits >> i & 1)
+                want |= uint64_t(0xff) << (8 * i);
+        }
+        EXPECT_EQ(byteMask(bits), want) << bits;
+    }
+}
+
 TEST(IntMath, PowerOf2)
 {
     EXPECT_TRUE(isPowerOf2(1));

@@ -239,6 +239,50 @@ TEST(CliTest, RejectionsCarryTheirMessage)
     }
 }
 
+TEST(CliTest, SwitchesRefuseAnInlineValue)
+{
+    // A switch takes no value: "--cpi-stack=0" is refused, not read as
+    // the bare switch. Every switch row of the four tables, then each
+    // program's error path.
+    size_t switches = 0;
+    for (const char *prog : programs) {
+        const std::string defaults = parse(prog, {}).values;
+        Tables t;
+        for (const CliFlag &f : t.of(prog).flags) {
+            if (kindOf(f) != 'S')
+                continue;
+            ++switches;
+            for (const char *value : {"0", "1", "false", ""}) {
+                Parse p = parse(prog, {std::string(f.name) + "=" + value});
+                EXPECT_FALSE(p.ok) << prog << " " << f.name << "=" << value;
+                EXPECT_EQ(p.err, std::string(f.name) + " takes no value")
+                    << prog;
+            }
+            Parse bare = parse(prog, {f.name});
+            EXPECT_TRUE(bare.ok) << prog << " " << f.name << ": " << bare.err;
+            EXPECT_NE(bare.values, defaults) << prog << " " << f.name;
+        }
+    }
+    EXPECT_EQ(switches, 11u); // six bench rows, three client, two report
+
+    const char *bench[] = {"bench", "--cpi-stack=0"};
+    EXPECT_EXIT(sweep::parseBenchArgs(2, const_cast<char **>(bench)),
+                ::testing::ExitedWithCode(1), "--cpi-stack takes no value");
+    Tables t;
+    const char *client[] = {"cwsim-client", "--socket", "s", "--quiet=0"};
+    EXPECT_EXIT(svc::parseToolArgs(t.of("cwsim-client"), 4,
+                                   const_cast<char **>(client),
+                                   "cwsim-client"),
+                ::testing::ExitedWithCode(2),
+                "cwsim-client: --quiet takes no value");
+    const char *report[] = {"cwsim-report", "--diff=false"};
+    EXPECT_EXIT(svc::parseToolArgs(t.of("cwsim-report"), 2,
+                                   const_cast<char **>(report),
+                                   "cwsim-report"),
+                ::testing::ExitedWithCode(2),
+                "cwsim-report: --diff takes no value");
+}
+
 TEST(CliTest, DaemonToolsRequireASocket)
 {
     for (const char *prog : {"cwsimd", "cwsim-client"}) {

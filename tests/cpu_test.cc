@@ -852,6 +852,13 @@ TEST(StoreBufferIndex, QueriesMatchBruteForceAcrossFifoWraps)
     // Random lifecycles on a small buffer, so the FIFO wraps many
     // times; after every step each query must equal a scan of the
     // resident entries, oldest to youngest.
+    //
+    // Addresses come from three regions, offset 0-19 from the region's
+    // base, so accesses straddle 8-byte blocks: a low one, one exactly
+    // 1,024 blocks of 8 bytes above it (the same buckets of the
+    // forwarding filter, so a store there makes the filter pass a load
+    // it cannot feed), and the top of the address space, where an
+    // access's bytes wrap past ~0 to 0-6 (no access starts there).
     StoreBuffer sb(8);
     Random rng(2024);
     InstSeqNum next_seq = 1;
@@ -859,6 +866,7 @@ TEST(StoreBufferIndex, QueriesMatchBruteForceAcrossFifoWraps)
     Tick now = 0;
     size_t pops = 0;
     constexpr Addr base = 0x1000;
+    const Addr regions[] = {base, base + 1024 * 8, ~Addr{0} - 23};
 
     auto entries = [&sb]() {
         std::vector<const SbEntry *> v;
@@ -920,7 +928,8 @@ TEST(StoreBufferIndex, QueriesMatchBruteForceAcrossFifoWraps)
             }
 
             for (unsigned size : {1u, 2u, 4u, 8u}) {
-                for (Addr a = base; a < base + 24; a += 3) {
+                for (Addr off = 0; off < 3 * 24; off += 3) {
+                    Addr a = regions[off / 24] + off % 24;
                     uint64_t want_value = 0;
                     unsigned want_mask = 0;
                     InstSeqNum want_src[8] = {};
@@ -973,7 +982,7 @@ TEST(StoreBufferIndex, QueriesMatchBruteForceAcrossFifoWraps)
           case 2:
             if (const SbEntry *e =
                     pick([](const SbEntry &x) { return !x.addrValid; })) {
-                Addr a = base + rng.below(20);
+                Addr a = regions[rng.below(3)] + rng.below(20);
                 sb.postAddr(slot_of(e), a, now + rng.below(3), now);
                 check("postAddr");
             }

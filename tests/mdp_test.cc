@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "isa/builder.hh"
+#include "isa/executor.hh"
 #include "mdp/mdp_table.hh"
 #include "mdp/oracle.hh"
+#include "mem/functional_memory.hh"
 #include "sim/config.hh"
+#include "workloads/workload.hh"
 
 namespace cwsim
 {
@@ -266,6 +273,93 @@ TEST(OracleTest, YoungestProducerWins)
             load_idx = i;
     }
     EXPECT_EQ(pre.deps.producerOf(load_idx), last_store);
+}
+
+TEST(OracleTest, LookupsFindEachRecordedSetAndNothingElse)
+{
+    // Records in trace order: word 0 holds its last index (63), word
+    // 1 (indices 64-127) holds none, word 2 its first and last (128,
+    // 191); lookups run past the last record, to index 399.
+    OracleDeps deps;
+    std::map<TraceIndex, TraceIndex> recorded; // load -> its producer
+    for (TraceIndex load : {TraceIndex{3}, TraceIndex{4}, TraceIndex{63},
+                            TraceIndex{128}, TraceIndex{191},
+                            TraceIndex{250}}) {
+        OracleDeps::ProducerSet set;
+        set.stores[0] = load - 2;
+        set.stores[1] = load - 1;
+        set.count = 2;
+        deps.record(load, set);
+        recorded[load] = load - 1;
+    }
+    EXPECT_EQ(deps.size(), recorded.size());
+    for (TraceIndex i = 0; i < 400; ++i) {
+        auto it = recorded.find(i);
+        const OracleDeps::ProducerSet *set = deps.producersOf(i);
+        if (it == recorded.end()) {
+            EXPECT_EQ(set, nullptr) << i;
+            EXPECT_EQ(deps.producerOf(i), invalid_trace_index) << i;
+            continue;
+        }
+        ASSERT_NE(set, nullptr) << i;
+        EXPECT_EQ(set->count, 2u);
+        EXPECT_EQ(set->stores[0], i - 2);
+        EXPECT_EQ(deps.producerOf(i), it->second);
+    }
+    EXPECT_EQ(deps.producersOf(invalid_trace_index), nullptr);
+    EXPECT_EQ(OracleDeps{}.producersOf(0), nullptr);
+}
+
+TEST(OracleTest, LookupsAgreeWithAFunctionalReplayOfTwoKernels)
+{
+    // Every trace index of two kernels, and past the last one: the
+    // producer set the lookup returns must be the distinct last
+    // writers of the load's bytes, oldest first, as an independent
+    // replay of the program finds them.
+    for (const char *kernel : {"129.compress", "145.fpppp"}) {
+        Workload w = workloads::build(kernel, 2000);
+        PrepassResult pre = runPrepass(w.program);
+        ASSERT_TRUE(pre.halted) << kernel;
+
+        FunctionalMemory mem;
+        w.program.loadInto(mem);
+        Executor ex(mem, w.program.entry());
+        std::map<Addr, TraceIndex> last_writer;
+        size_t empty_words = 0;
+        bool word_has_set = false;
+        for (TraceIndex idx = 0; idx < pre.instCount + 200; ++idx) {
+            std::vector<TraceIndex> want;
+            if (!ex.halted()) {
+                StepInfo info = ex.step();
+                for (unsigned i = 0; i < info.memSize; ++i) {
+                    Addr byte = info.memAddr + i;
+                    if (info.isStore) {
+                        last_writer[byte] = idx;
+                    } else if (info.isLoad && last_writer.count(byte)) {
+                        want.push_back(last_writer[byte]);
+                    }
+                }
+            }
+            std::sort(want.begin(), want.end());
+            want.erase(std::unique(want.begin(), want.end()), want.end());
+
+            const OracleDeps::ProducerSet *set = pre.deps.producersOf(idx);
+            std::vector<TraceIndex> got;
+            if (set) {
+                got.assign(set->stores.begin(),
+                           set->stores.begin() + set->count);
+            }
+            ASSERT_EQ(got, want) << kernel << " trace index " << idx;
+            word_has_set = word_has_set || set;
+            if (idx % 64 == 63) {
+                empty_words += !word_has_set && idx < pre.instCount;
+                word_has_set = false;
+            }
+        }
+        EXPECT_TRUE(ex.halted()) << kernel;
+        EXPECT_GT(empty_words, 0u) << kernel;
+        EXPECT_GT(pre.deps.size(), 100u) << kernel;
+    }
 }
 
 TEST(OracleTest, CountsCharacteristics)

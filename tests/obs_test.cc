@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -537,6 +539,76 @@ TEST_F(ObsTest, PipelineTimelineIsPinned)
             << annotation;
     }
     std::remove(pipe_path.c_str());
+}
+
+TEST_F(ObsTest, StatDumpIsPinned)
+{
+    // The full stats dump carries counters no golden record holds:
+    // loads_forwarded and the D-cache's bank and MSHR rejects, which
+    // count every refused load attempt. Each (kernel, config) dump is
+    // pinned by its field count and digest, recorded from the
+    // simulator before refused load attempts stopped reading memory.
+    struct Config
+    {
+        const char *name;
+        LsqModel model;
+        SpecPolicy policy;
+        RecoveryModel recovery;
+    };
+    const Config configs[] = {
+        {"NAS/NO", LsqModel::NAS, SpecPolicy::No, RecoveryModel::Squash},
+        {"NAS/NAV", LsqModel::NAS, SpecPolicy::Naive, RecoveryModel::Squash},
+        {"NAS/ORACLE", LsqModel::NAS, SpecPolicy::Oracle,
+         RecoveryModel::Squash},
+        {"AS/NAV", LsqModel::AS, SpecPolicy::Naive, RecoveryModel::Squash},
+        {"NAS/NAV selective", LsqModel::NAS, SpecPolicy::Naive,
+         RecoveryModel::Selective},
+    };
+    struct Pin
+    {
+        const char *kernel;
+        std::array<uint64_t, 5> digests;
+    };
+    const Pin pins[] = {
+        {"129.compress",
+         {0x0bda2ef81f672f66ull, 0x1eb79c004c086a6bull, 0x71794a9799418c88ull,
+          0x02a9165410e18be6ull, 0x18fc54d263243e5bull}},
+        {"102.swim",
+         {0x20772953769fdcbaull, 0xe0e7f92ecdba4cb0ull, 0xe0e7f92ecdba4cb0ull,
+          0xe97d5524cae04c16ull, 0xe0e7f92ecdba4cb0ull}},
+        {"145.fpppp",
+         {0x4a935a7ccea65cd3ull, 0x175579509c1047ceull, 0x0e647fc7d88b5adfull,
+          0x7c5892e8269fc2fcull, 0x175579509c1047ceull}},
+    };
+    constexpr size_t stat_fields = 84;
+
+    for (const Pin &pin : pins) {
+        Workload w = workloads::build(pin.kernel, 2000);
+        PrepassResult pre = runPrepass(w.program);
+        ASSERT_TRUE(pre.halted) << pin.kernel;
+        for (size_t i = 0; i < std::size(configs); ++i) {
+            const Config &c = configs[i];
+            SimConfig cfg = withPolicy(makeW128Config(), c.model, c.policy);
+            cfg.mdp.recovery = c.recovery;
+            Processor proc(cfg, w.program, &pre.deps);
+            proc.run();
+            ASSERT_TRUE(proc.halted()) << pin.kernel << " " << c.name;
+            std::string dump = proc.statsGroup().jsonString();
+            std::map<std::string, std::string> fields;
+            ASSERT_TRUE(parseFlatJson(dump, fields));
+            uint64_t digest = fnv1a64(dump);
+            EXPECT_EQ(fields.size(), stat_fields)
+                << pin.kernel << " " << c.name;
+            EXPECT_EQ(digest, pin.digests[i])
+                << pin.kernel << " " << c.name
+                << strfmt(": digest 0x%016llx",
+                          static_cast<unsigned long long>(digest));
+            for (const char *stat : {"loads_forwarded", "bank_rejects",
+                                     "mshr_rejects"}) {
+                EXPECT_NE(dump.find(stat), std::string::npos) << stat;
+            }
+        }
+    }
 }
 
 TEST_F(ObsTest, ReleaseModeTracePointCompilesToNothingObservable)

@@ -126,6 +126,37 @@ TEST(SvcSpec, Fig2PresetRebuildsTheBenchFingerprints)
     EXPECT_EQ(jobs[0].config.name(), spec.configs[0].name());
 }
 
+TEST(SvcSpec, AnEmptyConfigIsTheDefaultMachineInEitherOrder)
+{
+    // cwsim-client joins its --config texts by position, so an empty
+    // one submits the default machine wherever it stands, as the
+    // daemon reads "mdp.policy=NO;".
+    auto submit = [](std::vector<std::string> configs) {
+        svc::ClientArgs a;
+        a.workloads = "129.compress";
+        a.configs = std::move(configs);
+        std::map<std::string, std::string> fields;
+        SweepSpec spec;
+        std::string err;
+        EXPECT_TRUE(parseFlatJson(svc::submitRequest(a), fields));
+        EXPECT_TRUE(svc::parseSweepSpec(fields, spec, err)) << err;
+        std::vector<uint64_t> fps;
+        for (const SimConfig &cfg : spec.configs)
+            fps.push_back(sweep::fingerprintRun("129.compress", 4000, cfg));
+        return fps;
+    };
+    const uint64_t base = submit({}).at(0);
+    // NO is the default machine's policy; NAV tells the orders apart.
+    EXPECT_NE(submit({"mdp.policy=NAV"}).at(0), base);
+    for (const char *config : {"mdp.policy=NO", "mdp.policy=NAV"}) {
+        const uint64_t other = submit({config}).at(0);
+        EXPECT_EQ(submit({"", config}),
+                  (std::vector<uint64_t>{base, other}));
+        EXPECT_EQ(submit({config, ""}),
+                  (std::vector<uint64_t>{other, base}));
+    }
+}
+
 TEST(SvcSpec, RejectsBadRequestsWithoutDying)
 {
     SweepSpec spec;
