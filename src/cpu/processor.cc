@@ -1152,37 +1152,20 @@ Processor::classifyResidual() const
                      elapsed < Tick{cfg.mdp.asLatency})
                 ? CpiCause::AddrSched
                 : CpiCause::CacheMiss;
-        } else if (!head.src1.ready || head.dispatchedAt == cycle) {
-            // Waiting for its base register, or dispatched after this
-            // cycle's issue phase and not yet gated.
-            cause = CpiCause::Exec;
-        } else {
-            // Address-ready but unissued: blame the policy gate.
-            // doIssue visited the head this cycle or left it parked,
-            // and nothing since has changed an older store, so asking
-            // again gives the answer the head got.
-            switch (loadMayIssue(head).block) {
-              case GateBlock::Barrier:
-                cause = CpiCause::StoreBarrier;
-                break;
-              case GateBlock::Sync:
-                cause = CpiCause::SyncWait;
-                break;
-              case GateBlock::TrueDep:
-                cause = CpiCause::TrueDep;
-                break;
-              case GateBlock::Ambiguous:
-                // The false-dep probe (oracle pre-pass) tells us
-                // whether this hold protects a real dependence; with
-                // no oracle every hold is charged as false.
-                cause = (head.fdStallStarted && !head.fdIsFalse)
-                    ? CpiCause::TrueDep
-                    : CpiCause::FalseDep;
-                break;
-              case GateBlock::None:
-                cause = CpiCause::Exec; // Port/FU starvation.
-                break;
-            }
+        } else if (head.src1.ready && head.dispatchedAt != cycle &&
+                   loadMayIssue(head).block == GateBlock::Ambiguous) {
+            // Address-ready and gated this cycle (a head dispatched
+            // after this cycle's issue phase has not met the gate).
+            // Every store older than the head has committed, so none
+            // owes data, is an unexecuted barrier or is a pending SYNC
+            // or ORACLE producer: the gate can only hold the head
+            // while a committed AS store's address is not yet
+            // visible. The false-dep probe (oracle pre-pass) tells
+            // whether that hold protects a real dependence; with no
+            // oracle every hold is charged as false.
+            cause = (head.fdStallStarted && !head.fdIsFalse)
+                ? CpiCause::TrueDep
+                : CpiCause::FalseDep;
         }
     }
 

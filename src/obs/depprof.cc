@@ -15,11 +15,6 @@ namespace cwsim
 namespace obs
 {
 
-namespace detail
-{
-std::atomic<bool> depprof_on{false};
-} // namespace detail
-
 size_t
 depDistBucket(uint64_t distance)
 {
@@ -366,21 +361,21 @@ DepProfManager::enable(const std::string &path)
 {
     std::lock_guard<std::mutex> lock(writeMutex);
     outPath = path.empty() ? "cwsim.depprof.jsonl" : path;
-    detail::depprof_on.store(true);
+    on.store(true);
 }
 
 void
 DepProfManager::disable()
 {
     std::lock_guard<std::mutex> lock(writeMutex);
-    detail::depprof_on.store(false);
+    on.store(false);
 }
 
 void
 DepProfManager::resetForTesting()
 {
     std::lock_guard<std::mutex> lock(writeMutex);
-    detail::depprof_on.store(false);
+    on.store(false);
     outPath.clear();
 }
 

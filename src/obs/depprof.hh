@@ -21,13 +21,15 @@
  *    miss-speculations per PC, plus occupancy and mean prediction
  *    confidence sampled at the predictor's reset boundaries.
  *
- * Gating follows the CWSIM_TRACE design contract exactly: one global
- * predicted-false branch (depProfilingActive) decides everything, the
- * profiling state is process-global and deliberately NOT part of
- * SimConfig — enabling it cannot change run-cache fingerprints — and
- * the enabled path only ever reads simulation state, never feeds back
- * into it, so simulated stats stay bit-identical either way (enforced
- * by test and by the depprof-smoke CI job).
+ * Gating: a simulator asks DepProfManager::active() once, when it is
+ * built, and creates a DepProfile only then; every hook tests that
+ * run's dprof pointer, one predicted-false branch when profiling is
+ * off. The profiling state is process-global and deliberately NOT
+ * part of SimConfig — enabling it cannot change run-cache
+ * fingerprints — and the enabled path only ever reads simulation
+ * state, never feeds back into it, so simulated stats stay
+ * bit-identical either way (enforced by test and by the
+ * depprof-smoke CI job).
  *
  * The on-disk product is a flat-JSON-lines ".depprof.jsonl" file, one
  * self-describing block per run, written atomically with respect to
@@ -303,20 +305,6 @@ class DepProfile
     std::unique_ptr<stats::StatGroup> group;
 };
 
-namespace detail
-{
-/** The one global the fast path reads: true iff profiling is on. */
-extern std::atomic<bool> depprof_on;
-} // namespace detail
-
-/** The hook gate: one predicted-false branch when profiling is off. */
-inline bool
-depProfilingActive()
-{
-    return __builtin_expect(
-        detail::depprof_on.load(std::memory_order_relaxed), 0);
-}
-
 /**
  * Process-wide profiling configuration + the serialized writer, the
  * exact shape of TraceManager: global (never in SimConfig), env-
@@ -337,7 +325,7 @@ class DepProfManager
     void enable(const std::string &path = "");
     void disable();
 
-    bool active() const { return detail::depprof_on.load(); }
+    bool active() const { return on.load(); }
     const std::string &path() const { return outPath; }
 
     /** Append one run's block to the profile file (mutex-held). */
@@ -351,6 +339,7 @@ class DepProfManager
     DepProfManager(const DepProfManager &) = delete;
     DepProfManager &operator=(const DepProfManager &) = delete;
 
+    std::atomic<bool> on{false};
     std::mutex writeMutex;
     std::string outPath;
 };

@@ -1,42 +1,12 @@
 #include "obs/interval.hh"
 
+#include "base/jsonl.hh"
 #include "base/logging.hh"
-#include "base/str.hh"
 
 namespace cwsim
 {
 namespace obs
 {
-
-namespace
-{
-
-/**
- * Minimal JSON string escape for the label field. Labels are workload
- * and config names today, but defend against anything.
- */
-std::string
-escapeLabel(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-} // anonymous namespace
 
 IntervalSampler::IntervalSampler(const std::string &path,
                                  uint64_t period, std::string label)
@@ -78,7 +48,7 @@ IntervalSampler::sample(Tick cycle, const IntervalCounters &now)
         "\"commits\":%llu,\"ipc\":%.6f,\"violations\":%llu,"
         "\"replays\":%llu,\"false_dep_loads\":%llu,"
         "\"window_occupancy\":%.4f}\n",
-        escapeLabel(label).c_str(),
+        jsonEscape(label).c_str(),
         static_cast<unsigned long long>(cycle),
         static_cast<unsigned long long>(cycles),
         static_cast<unsigned long long>(commits),

@@ -204,10 +204,4 @@ const std::string &runLabel();
         }                                                               \
     } while (0)
 
-/** True iff @p flag is enabled — for trace-only work beyond one line. */
-#define CWSIM_TRACING(flag)                                             \
-    (::cwsim::obs::tracingActive() &&                                   \
-     ::cwsim::obs::TraceManager::instance().enabled(                    \
-         ::cwsim::obs::TraceFlag::flag))
-
 #endif // CWSIM_OBS_TRACE_HH

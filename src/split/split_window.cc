@@ -1,6 +1,6 @@
 #include "split/split_window.hh"
 
-#include <unordered_map>
+#include <array>
 
 #include "base/addr_range.hh"
 #include "base/logging.hh"
@@ -45,9 +45,9 @@ SplitWindowSim::SplitWindowSim(const SplitConfig &cfg,
         mdpt.setProfile(dprof.get());
     }
 
-    // Precompute register and memory producers from the trace.
-    std::unordered_map<unsigned, TraceIndex> reg_writer;
-    std::unordered_map<Addr, TraceIndex> byte_writer;
+    // Precompute register producers from the trace.
+    std::array<TraceIndex, num_arch_regs> reg_writer;
+    reg_writer.fill(invalid_trace_index);
 
     for (size_t i = 0; i < trace.size(); ++i) {
         const TraceEntry &te = trace[i];
@@ -60,33 +60,16 @@ SplitWindowSim::SplitWindowSim(const SplitConfig &cfg,
         node.addr = te.memAddr;
         node.size = te.memSize;
 
-        auto lookup = [&](RegId reg) -> TraceIndex {
-            if (reg == reg_invalid || reg == reg_zero)
-                return invalid_trace_index;
-            auto it = reg_writer.find(reg);
-            return it == reg_writer.end() ? invalid_trace_index
-                                          : it->second;
+        auto lookup = [&](RegId reg) {
+            return reg == reg_invalid || reg == reg_zero
+                ? invalid_trace_index
+                : reg_writer[reg];
         };
         node.src1Producer = lookup(te.inst.rs1);
         node.src2Producer = lookup(te.inst.rs2);
 
-        if (node.isLoad) {
+        if (node.isLoad)
             ++numLoads;
-            TraceIndex newest = invalid_trace_index;
-            for (unsigned b = 0; b < node.size; ++b) {
-                auto it = byte_writer.find(node.addr + b);
-                if (it != byte_writer.end() &&
-                    (newest == invalid_trace_index ||
-                     it->second > newest)) {
-                    newest = it->second;
-                }
-            }
-            node.memProducer = newest;
-        } else if (node.isStore) {
-            for (unsigned b = 0; b < node.size; ++b)
-                byte_writer[node.addr + b] = i;
-        }
-
         if (te.inst.writesReg())
             reg_writer[te.inst.rd] = i;
     }
@@ -102,10 +85,8 @@ bool
 SplitWindowSim::regReady(TraceIndex producer,
                          unsigned consumer_chunk) const
 {
-    if (producer == invalid_trace_index)
-        return true;
-    if (has(producer, DynCommitted))
-        return true;
+    if (producer == invalid_trace_index || producer < headCommit)
+        return true; // none, or committed
     if (!has(producer, DynDone))
         return false;
     Cycles forward = nodes[producer].chunk != consumer_chunk
@@ -115,91 +96,84 @@ SplitWindowSim::regReady(TraceIndex producer,
 }
 
 bool
-SplitWindowSim::loadMayIssue(TraceIndex idx) const
+SplitWindowSim::loadMayIssue(TraceIndex idx, TraceIndex &source) const
 {
+    // One walk over the older in-flight instructions gathers what
+    // every mechanism needs. A load with no synonym to wait on is
+    // refused at the first hold the walk meets; a SYNC load's walk
+    // runs to the end, since the closest producer decides first.
     const Node &node = nodes[idx];
-    bool speculate = cfg.policy != SpecPolicy::No;
+    const bool nas = cfg.lsqModel == LsqModel::NAS;
+    const bool hold_ambiguous = cfg.policy == SpecPolicy::No;
+    Synonym syn = cfg.policy == SpecPolicy::SpecSync
+        ? mdpt.synonymOf(node.pc)
+        : invalid_synonym;
+    TraceIndex producer = invalid_trace_index; // closest SYNC producer
+    TraceIndex youngest = invalid_trace_index; // forwarding source
+    bool all_older_fetched = true;
+    bool true_dep = false;
+
+    for (TraceIndex j = headCommit; j < idx; ++j) {
+        uint8_t f = dynFlags[j];
+        if (!(f & DynFetched)) {
+            // Invisible to any scheduler: ambiguous by definition.
+            if (hold_ambiguous)
+                return false;
+            all_older_fetched = false;
+            continue;
+        }
+        const Node &older = nodes[j];
+        if (!older.isStore)
+            continue;
+        if (syn != invalid_synonym && mdpt.synonymOf(older.pc) == syn)
+            producer = j;
+        bool done = f & DynDone;
+        bool visible = nas
+            ? done
+            : (f & DynAddrPosted) && addrPostedAt[j] <= curCycle;
+        if (!visible && hold_ambiguous)
+            return false; // an older store's address is unknown
+        if ((done || visible) &&
+            rangesOverlap(older.addr, older.size, node.addr, node.size)) {
+            if (done) {
+                youngest = j;
+            } else {
+                // AS: a known true dependence; the load waits.
+                true_dep = true;
+                if (syn == invalid_synonym)
+                    return false;
+            }
+        }
+    }
 
     // SYNC: a load whose PC carries a synonym waits for the closest
     // older store instance producing the same synonym. If no such
     // store is visible yet but older instructions remain unfetched,
     // the load keeps waiting — the synchronizing signal may simply not
     // have arrived from an earlier unit (Multiscalar-style wait).
-    if (cfg.policy == SpecPolicy::SpecSync) {
-        Synonym syn = mdpt.synonymOf(node.pc);
-        if (syn != invalid_synonym) {
-            bool found_producer = false;
-            bool all_fetched = true;
-            for (TraceIndex j = idx; j-- > headCommit;) {
-                uint8_t f = dynFlags[j];
-                if (f & DynCommitted)
-                    break;
-                if (!(f & DynFetched)) {
-                    all_fetched = false;
-                    continue;
-                }
-                if (!nodes[j].isStore)
-                    continue;
-                if (mdpt.synonymOf(nodes[j].pc) == syn) {
-                    found_producer = true;
-                    if (!(f & DynDone) ||
-                        doneAt[j] + cfg.interUnitLatency > curCycle) {
-                        // Per refused cycle, so the counter reads as
-                        // cycles spent synchronizing on this edge.
-                        if (__builtin_expect(dprof != nullptr, 0)) {
-                            dprof->noteSyncWait(node.pc, nodes[j].pc,
-                                                idx - j);
-                        }
-                        return false;
-                    }
-                    break; // synchronized with the closest instance
-                }
+    if (producer != invalid_trace_index) {
+        if (!has(producer, DynDone) ||
+            doneAt[producer] + cfg.interUnitLatency > curCycle) {
+            // Per refused cycle, so the counter reads as cycles spent
+            // synchronizing on this edge.
+            if (__builtin_expect(dprof != nullptr, 0)) {
+                dprof->noteSyncWait(node.pc, nodes[producer].pc,
+                                    idx - producer);
             }
-            if (!found_producer && !all_fetched)
-                return false; // the producer may not be fetched yet
+            return false;
         }
+    } else if (syn != invalid_synonym && !all_older_fetched) {
+        return false; // the producer may not be fetched yet
     }
-
-    // Older instructions not yet fetched are invisible to any
-    // scheduler: ambiguous by definition.
-    bool all_older_fetched = true;
-    bool ambiguous = false;
-
-    for (TraceIndex j = headCommit; j < idx; ++j) {
-        uint8_t f = dynFlags[j];
-        if (f & DynCommitted)
-            continue;
-        if (!(f & DynFetched)) {
-            all_older_fetched = false;
-            continue;
-        }
-        if (!nodes[j].isStore)
-            continue;
-        if (cfg.lsqModel == LsqModel::AS) {
-            if ((f & DynAddrPosted) && addrPostedAt[j] <= curCycle) {
-                const Node &older = nodes[j];
-                bool overlap = rangesOverlap(older.addr, older.size,
-                                             node.addr, node.size);
-                if (overlap && !(f & DynDone))
-                    return false; // known true dependence: wait
-            } else {
-                ambiguous = true;
-            }
-        } else if (!(f & DynDone)) {
-            ambiguous = true; // NAS: unexecuted older store
-        }
-    }
-
-    if (speculate)
-        return true;
-    return all_older_fetched && !ambiguous;
+    source = youngest;
+    return !true_dep;
 }
 
 void
 SplitWindowSim::executeStore(TraceIndex idx)
 {
     const Node &store = nodes[idx];
-    set(idx, DynIssued | DynDone);
+    set(idx, DynDone);
     issuedAt[idx] = curCycle;
     doneAt[idx] = curCycle;
 
@@ -251,7 +225,7 @@ SplitWindowSim::squashFrom(TraceIndex idx)
               (DynFetched | DynDone | DynAddrPosted))) {
             continue;
         }
-        clr(j, DynIssued | DynDone | DynAddrPosted);
+        dynFlags[j] &= static_cast<uint8_t>(~(DynDone | DynAddrPosted));
         sourceSeen[j] = invalid_trace_index;
         notBefore[j] = curCycle + cfg.squashPenalty;
         ++timesSquashed[j];
@@ -349,10 +323,8 @@ SplitWindowSim::run()
                  i < end && budget > 0; ++i) {
                 const Node &node = nodes[i];
                 uint8_t f = dynFlags[i];
-                if (!(f & DynFetched) || (f & DynCommitted) ||
-                    notBefore[i] > curCycle) {
+                if (!(f & DynFetched) || notBefore[i] > curCycle)
                     continue;
-                }
 
                 // AS stores post addresses as soon as the base register
                 // arrives (no issue slot consumed).
@@ -376,30 +348,18 @@ SplitWindowSim::run()
                 }
 
                 if (node.isLoad) {
-                    if (!regReady(node.src1Producer, node.chunk))
-                        continue;
-                    if (!loadMayIssue(i))
-                        continue;
-                    --budget;
-                    // Record the youngest older executed store the
-                    // load forwards from (if any).
                     TraceIndex source = invalid_trace_index;
-                    for (TraceIndex j = headCommit; j < i; ++j) {
-                        const Node &older = nodes[j];
-                        if (older.isStore &&
-                            (dynFlags[j] &
-                             (DynDone | DynCommitted)) == DynDone &&
-                            rangesOverlap(older.addr, older.size,
-                                          node.addr, node.size)) {
-                            source = j;
-                        }
+                    if (!regReady(node.src1Producer, node.chunk) ||
+                        !loadMayIssue(i, source)) {
+                        continue;
                     }
+                    --budget;
                     sourceSeen[i] = source;
                     if (__builtin_expect(dprof != nullptr, 0)) {
                         dprof->noteLoadExec(
                             node.pc, source != invalid_trace_index);
                     }
-                    set(i, DynIssued | DynDone);
+                    set(i, DynDone);
                     issuedAt[i] = curCycle;
                     doneAt[i] = curCycle + cfg.memLatency +
                                 (cfg.lsqModel == LsqModel::AS
@@ -412,7 +372,7 @@ SplitWindowSim::run()
                 if (regReady(node.src1Producer, node.chunk) &&
                     regReady(node.src2Producer, node.chunk)) {
                     --budget;
-                    set(i, DynIssued | DynDone);
+                    set(i, DynDone);
                     issuedAt[i] = curCycle;
                     doneAt[i] = curCycle + node.latency;
                 }
@@ -427,7 +387,6 @@ SplitWindowSim::run()
                 doneAt[headCommit] > curCycle) {
                 break;
             }
-            set(headCommit, DynCommitted);
             if (__builtin_expect(dprof != nullptr, 0)) {
                 if (head.isLoad)
                     dprof->noteLoadCommit(head.pc);
@@ -477,13 +436,12 @@ SplitWindowSim::run()
                            cfg.watchdogInterval)),
                 __FILE__, __LINE__,
                 strfmt("head %llu/%zu (chunk %u, pc 0x%llx): "
-                       "fetched=%d issued=%d done=%d addrPosted=%d "
+                       "fetched=%d done=%d addrPosted=%d "
                        "notBefore=%llu, headChunk %u\n",
                        static_cast<unsigned long long>(headCommit),
                        nodes.size(), head.chunk,
                        static_cast<unsigned long long>(head.pc),
                        has(headCommit, DynFetched),
-                       has(headCommit, DynIssued),
                        has(headCommit, DynDone),
                        has(headCommit, DynAddrPosted),
                        static_cast<unsigned long long>(
@@ -542,36 +500,16 @@ SplitWindowSim::classifyResidual() const
     if (timesSquashed[headCommit] > 0)
         return CpiCause::MemDepSquash;
 
-    if (has(headCommit, DynDone)) {
+    if (head.isLoad && has(headCommit, DynDone)) {
         // In flight (doneAt > curCycle). AS loads spend the first
         // asLatency cycles in the address-scheduler pipeline.
-        if (head.isLoad) {
-            return (cfg.lsqModel == LsqModel::AS &&
-                    curCycle - issuedAt[headCommit] <
-                        Tick{cfg.asLatency})
-                ? CpiCause::AddrSched
-                : CpiCause::CacheMiss;
-        }
-        return CpiCause::Exec;
+        return (cfg.lsqModel == LsqModel::AS &&
+                curCycle - issuedAt[headCommit] < Tick{cfg.asLatency})
+            ? CpiCause::AddrSched
+            : CpiCause::CacheMiss;
     }
-
-    if (head.isLoad && regReady(head.src1Producer, head.chunk) &&
-        !loadMayIssue(headCommit)) {
-        // Gate-blocked with a ready address: under SYNC a
-        // synonym-carrying load is synchronizing; otherwise the hold
-        // is a dependence wait — true when the trace's producing
-        // store is genuinely outstanding, false otherwise.
-        if (cfg.policy == SpecPolicy::SpecSync &&
-            mdpt.synonymOf(head.pc) != invalid_synonym) {
-            return CpiCause::SyncWait;
-        }
-        bool true_dep =
-            head.memProducer != invalid_trace_index &&
-            !(dynFlags[head.memProducer] &
-              (DynCommitted | DynDone));
-        return true_dep ? CpiCause::TrueDep : CpiCause::FalseDep;
-    }
-
+    // Executing, or waiting for operands or an issue slot. The load
+    // gate never holds the head: nothing older than it is in flight.
     return CpiCause::Exec;
 }
 

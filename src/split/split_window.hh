@@ -144,7 +144,6 @@ class SplitWindowSim
     {
         TraceIndex src1Producer = invalid_trace_index;
         TraceIndex src2Producer = invalid_trace_index;
-        TraceIndex memProducer = invalid_trace_index; ///< true producer
         unsigned chunk = 0;
         bool isLoad = false;
         bool isStore = false;
@@ -154,25 +153,27 @@ class SplitWindowSim
         Cycles latency = 1;
     };
 
-    /** Packed per-index dynamic flags (the hot scan predicates). */
+    /**
+     * Packed per-index dynamic flags (the hot scan predicates). An
+     * index below headCommit has committed; no flag says so.
+     */
     enum DynFlag : uint8_t
     {
         DynFetched = 1 << 0,
-        DynIssued = 1 << 1,
-        DynDone = 1 << 2,
-        DynAddrPosted = 1 << 3,
-        DynCommitted = 1 << 4,
+        DynDone = 1 << 1, ///< Issued; complete at doneAt.
+        DynAddrPosted = 1 << 2,
     };
 
     bool has(TraceIndex i, uint8_t f) const { return dynFlags[i] & f; }
     void set(TraceIndex i, uint8_t f) { dynFlags[i] |= f; }
-    void clr(TraceIndex i, uint8_t f)
-    {
-        dynFlags[i] &= static_cast<uint8_t>(~f);
-    }
 
     bool regReady(TraceIndex producer, unsigned consumer_chunk) const;
-    bool loadMayIssue(TraceIndex idx) const;
+    /**
+     * The load gate, one walk over [headCommit, idx). On true,
+     * @p source is the youngest older executed store the load
+     * overlaps (invalid_trace_index: it reads memory).
+     */
+    bool loadMayIssue(TraceIndex idx, TraceIndex &source) const;
     void executeStore(TraceIndex idx);
     void squashFrom(TraceIndex idx);
     /** Blame for this cycle's residual commit slots (DESIGN.md §11). */

@@ -328,17 +328,15 @@ TEST(DepProfManager, WritesBlocksTheLoaderValidates)
     obs::DepProfManager &mgr = obs::DepProfManager::instance();
     mgr.resetForTesting();
     EXPECT_FALSE(mgr.active());
-    EXPECT_FALSE(obs::depProfilingActive());
 
     mgr.enable(path);
     EXPECT_TRUE(mgr.active());
-    EXPECT_TRUE(obs::depProfilingActive());
     EXPECT_EQ(mgr.path(), path);
 
     mgr.writeRun(makeProfile("run-one"));
     mgr.writeRun(makeProfile("run-two"));
     mgr.resetForTesting();
-    EXPECT_FALSE(obs::depProfilingActive());
+    EXPECT_FALSE(mgr.active());
 
     DepProfileFile file;
     std::string err;

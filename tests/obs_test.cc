@@ -25,6 +25,7 @@
 #include "obs/interval.hh"
 #include "obs/pipeview.hh"
 #include "obs/trace.hh"
+#include "pin_util.hh"
 #include "sim/config.hh"
 #include "workloads/workload.hh"
 
@@ -37,15 +38,6 @@ std::string
 tmpPath(const std::string &name)
 {
     return testing::TempDir() + "cwsim_obs_" + name;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 /** Every test starts and ends with a pristine global TraceManager. */
@@ -462,18 +454,6 @@ TEST_F(ObsTest, SampledPhasesCompleteSingleCycleOpsOneCycleAfterIssue)
     EXPECT_GT(checked, 5'000u);
     EXPECT_EQ(late, 0u) << "first late op: " << firstLate;
     std::remove(pipe_path.c_str());
-}
-
-/** 64-bit FNV-1a over @p text. */
-uint64_t
-fnv1a64(const std::string &text)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 TEST_F(ObsTest, PipelineTimelineIsPinned)

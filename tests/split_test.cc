@@ -8,8 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
+#include "base/str.hh"
 #include "isa/builder.hh"
 #include "mdp/oracle.hh"
+#include "obs/depprof.hh"
+#include "obs/trace.hh"
+#include "pin_util.hh"
 #include "split/split_window.hh"
 #include "workloads/workload.hh"
 
@@ -337,6 +345,190 @@ TEST(SplitWindowTest, InterUnitLatencySlowsCrossUnitChains)
         EXPECT_GE(sim.cycles() + 1, prev) << "latency " << lat;
         prev = sim.cycles();
     }
+}
+
+/**
+ * Three stores to one word, the middle one behind a multiply chain,
+ * then a load of that word (@p with_young_store false drops the last
+ * store).
+ */
+Program
+lateMiddleStore(bool with_young_store)
+{
+    ProgramBuilder b;
+    Addr a = b.dataAlloc(8);
+    b.la(ir(1), a);
+    b.addi(ir(2), reg_zero, 5);
+    b.sw(ir(2), ir(1), 0);      // early data
+    b.mul(ir(3), ir(2), ir(2)); // slow data
+    b.mul(ir(3), ir(3), ir(3));
+    b.mul(ir(3), ir(3), ir(3));
+    b.sw(ir(3), ir(1), 0);      // executes after the load
+    if (with_young_store)
+        b.sw(ir(2), ir(1), 0);  // early data, younger
+    b.lw(ir(4), ir(1), 0);
+    b.halt();
+    return b.build();
+}
+
+TEST(SplitWindowTest, ALoadForwardsFromTheYoungestOlderStore)
+{
+    // NAS/NAV lets the load pass the slow middle store. With a
+    // younger executed store in between, the load took that store's
+    // value, so the middle store's late execution is no violation;
+    // without it, the load read the oldest store's stale value.
+    for (bool young : {true, false}) {
+        auto trace = traceOf(lateMiddleStore(young));
+        SplitConfig cfg = SplitConfig::continuous();
+        cfg.lsqModel = LsqModel::NAS;
+        cfg.policy = SpecPolicy::Naive;
+        SplitWindowSim sim(cfg, trace);
+        sim.run();
+        EXPECT_EQ(sim.committed(), trace.size());
+        EXPECT_EQ(sim.violations(), young ? 0u : 1u)
+            << (young ? "with" : "without") << " the younger store";
+    }
+}
+
+/** The two window shapes fig7 contrasts: continuous and 4 x 32. */
+SplitConfig
+windowShape(bool split)
+{
+    return split ? SplitConfig{} : SplitConfig::continuous();
+}
+
+TEST(SplitWindowTest, ResultsArePinned)
+{
+    // No stats golden covers the split model (it runs outside the
+    // Runner). Every kernel at scale 2000 under both window shapes,
+    // NAS, AS/0 and AS/2, and NO, NAV and SYNC, with a dependence
+    // profile: one digest over each run's cycles, commits,
+    // violations, CPI slots and serialized profile block, recorded
+    // from the simulator before its load gate became one walk.
+    struct Lsq
+    {
+        LsqModel model;
+        Cycles asLatency;
+    };
+    const Lsq lsqs[] = {{LsqModel::NAS, 0}, {LsqModel::AS, 0},
+                        {LsqModel::AS, 2}};
+    const SpecPolicy policies[] = {SpecPolicy::No, SpecPolicy::Naive,
+                                   SpecPolicy::SpecSync};
+
+    const std::string prof_path =
+        testing::TempDir() + "cwsim_split_pinned.depprof.jsonl";
+    std::remove(prof_path.c_str());
+    obs::DepProfManager &mgr = obs::DepProfManager::instance();
+    mgr.enable(prof_path);
+    obs::setRunLabel("");
+
+    size_t runs = 0;
+    std::string text;
+    for (const std::string &name : workloads::allNames()) {
+        Workload w = workloads::build(name, 2000);
+        PrepassOptions opts;
+        opts.recordTrace = true;
+        PrepassResult pre = runPrepass(w.program, opts);
+        ASSERT_TRUE(pre.halted) << name;
+        for (bool split : {false, true}) {
+            for (const Lsq &lsq : lsqs) {
+                for (SpecPolicy policy : policies) {
+                    SplitConfig cfg = windowShape(split);
+                    cfg.lsqModel = lsq.model;
+                    cfg.asLatency = lsq.asLatency;
+                    cfg.policy = policy;
+                    SplitWindowSim sim(cfg, pre.trace);
+                    sim.run();
+                    ASSERT_EQ(sim.committed(), pre.trace.size()) << name;
+                    ASSERT_NE(sim.depProfile(), nullptr);
+                    text += strfmt(
+                        "%s %d %s/%llu %s: %llu %llu %llu",
+                        name.c_str(), int{split},
+                        toString(lsq.model),
+                        static_cast<unsigned long long>(lsq.asLatency),
+                        toString(policy),
+                        static_cast<unsigned long long>(sim.cycles()),
+                        static_cast<unsigned long long>(sim.committed()),
+                        static_cast<unsigned long long>(
+                            sim.violations()));
+                    for (size_t c = 0; c < obs::num_cpi_causes; ++c) {
+                        text += strfmt(
+                            " %llu", static_cast<unsigned long long>(
+                                         sim.cpiStack().slot(
+                                             obs::CpiCause(c))));
+                    }
+                    text += '\n';
+                    std::vector<std::string> block;
+                    sim.depProfile()->serialize(block);
+                    for (const std::string &line : block)
+                        text += line + '\n';
+                    ++runs;
+                }
+            }
+        }
+    }
+    mgr.resetForTesting();
+    std::remove(prof_path.c_str());
+
+    EXPECT_EQ(runs, 324u);
+    uint64_t digest = fnv1a64(text);
+    EXPECT_EQ(digest, 0xb03744da81488c53ull)
+        << strfmt("digest 0x%016llx",
+                  static_cast<unsigned long long>(digest));
+}
+
+TEST(SplitWindowTest, PipelineTimelineIsPinned)
+{
+    // The split model's O3PipeView stream prints each instruction's
+    // fetch, issue and completion cycles and its squash count; no
+    // other output holds them. 129.compress at scale 2000 under AS/0
+    // SYNC, continuous and 4 x 32, pinned by line count and digest,
+    // recorded from the simulator before its load gate became one
+    // walk.
+    struct Pin
+    {
+        const char *name;
+        bool split;
+        size_t lines;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"continuous", false, 18459, 0x0bd5812a8d1a0c83ull},
+        {"4x32", true, 18459, 0x94f33c7829b4f477ull},
+    };
+
+    Workload w = workloads::build("129.compress", 2000);
+    PrepassOptions opts;
+    opts.recordTrace = true;
+    PrepassResult pre = runPrepass(w.program, opts);
+    ASSERT_TRUE(pre.halted);
+    const std::string pipe_path =
+        testing::TempDir() + "cwsim_split_pinned_pipeview.out";
+    obs::TraceManager &tm = obs::TraceManager::instance();
+    tm.resetForTesting();
+    for (const Pin &pin : pins) {
+        SplitConfig cfg = windowShape(pin.split);
+        cfg.lsqModel = LsqModel::AS;
+        cfg.asLatency = 0;
+        cfg.policy = SpecPolicy::SpecSync;
+        ASSERT_TRUE(tm.setPipeViewPath(pipe_path));
+        {
+            SplitWindowSim sim(cfg, pre.trace);
+            sim.run();
+            ASSERT_EQ(sim.committed(), pre.trace.size()) << pin.name;
+        }
+        tm.resetForTesting(); // close the pipeview file before reading
+        std::string text = slurp(pipe_path);
+        size_t lines =
+            static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+        uint64_t digest = fnv1a64(text);
+        EXPECT_EQ(lines, pin.lines) << pin.name;
+        EXPECT_EQ(digest, pin.digest)
+            << pin.name
+            << strfmt(": digest 0x%016llx",
+                      static_cast<unsigned long long>(digest));
+    }
+    std::remove(pipe_path.c_str());
 }
 
 TEST(SplitWindowTest, EmptyTraceIsFine)
